@@ -15,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -24,9 +25,9 @@ import numpy as np
 from .core import ChainSpec
 from .distinguisher import (
     build_test,
-    chebyshev_error,
     draw_h_samples,
     empirical_power,
+    power_from_samples,
     tv_lower_bound_empirical,
     tv_upper_bound,
 )
@@ -79,8 +80,8 @@ def _parse_constants(text: str) -> dict[str, float]:
                 f"bad constant {item!r}; expected name=value with name in {CONSTANT_NAMES}"
             )
         value = float(raw)
-        if not value > 0:
-            raise ValueError(f"constant {name} must be positive, got {value}")
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"constant {name} must be positive and finite, got {value}")
         constants[name] = value
     return constants
 
@@ -109,8 +110,11 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 
 
 def canonical_json(obj) -> str:
-    """Stable serialization: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """Stable serialization: sorted keys, two-space indent, trailing newline.
+
+    Non-finite floats raise ValueError: they have no strict-JSON form.
+    """
+    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
 
 
 def _spec_from(args) -> ChainSpec:
@@ -196,6 +200,11 @@ def cmd_sweep(args) -> str:
     constants = _parse_constants(args.constants)
     bound_kwargs = _bound_kwargs(constants)
     grid = [int(round(d)) for d in np.geomspace(args.d_min, args.d_max, args.steps)]
+    if len(set(grid)) < len(grid):
+        raise ValueError(
+            f"{args.steps} steps from {args.d_min} to {args.d_max} give only "
+            f"{len(set(grid))} distinct values of d after rounding; use fewer steps"
+        )
     rows = []
     for k, d in enumerate(grid):
         spec = ChainSpec(args.p, args.q, (d,) * (args.r - 1))
@@ -203,14 +212,13 @@ def cmd_sweep(args) -> str:
         plan = build_test(spec, **bound_kwargs)
         row_seed = SeedSpec(args.seed, k * 2 * args.trials)
         h_product, h_single = draw_h_samples(spec, args.trials, row_seed)
-        fnr = float((h_product <= plan.threshold).mean())
-        fpr = float((h_single > plan.threshold).mean())
+        power = power_from_samples(h_product, h_single, plan)
         rows.append([
             d,
-            1.0 - (fpr + fnr) / 2.0,
+            power.accuracy,
             tv_lower_bound_empirical(h_product, h_single),
             tv_upper_bound(spec, constants["c"]),
-            chebyshev_error(plan),
+            power.chebyshev_error_bound,
             plan.mu_product - plan.mu_single,
         ])
     if args.format == "json":
@@ -312,8 +320,12 @@ def main(argv=None) -> int:
         print(f"gmprod: {exc}", file=sys.stderr)
         return 2
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"gmprod: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0

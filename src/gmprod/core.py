@@ -7,6 +7,7 @@ so values can be shared freely between concurrent workers.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +64,17 @@ def frobenius_sq(x) -> float:
     return float((x * x).sum())
 
 
+def _dimension(name: str, value) -> int:
+    """A positive dimension as a Python int: any integral type except bool, never a float."""
+    try:
+        index = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        index = None
+    if index is None or index < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return index
+
+
 @dataclass(frozen=True)
 class ChainSpec:
     """Dimension profile of a matrix-product ensemble.
@@ -77,12 +89,11 @@ class ChainSpec:
     inner: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "inner", tuple(int(d) for d in self.inner))
-        for name, value in (("p", self.p), ("q", self.q)):
-            if not isinstance(value, int) or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
-        if any(d < 1 for d in self.inner):
-            raise ValueError(f"inner dimensions must be positive integers, got {self.inner}")
+        object.__setattr__(self, "p", _dimension("p", self.p))
+        object.__setattr__(self, "q", _dimension("q", self.q))
+        object.__setattr__(
+            self, "inner", tuple(_dimension("inner dimension", d) for d in self.inner)
+        )
 
     @property
     def r(self) -> int:

@@ -25,8 +25,8 @@ from .moments import (
     variance_bound_product,
     variance_single_exact,
 )
+from .engine import h_samples
 from .sampling import SeedSpec, sample_product, sample_single
-from .stats import stat_h
 
 
 @dataclass(frozen=True)
@@ -73,9 +73,12 @@ def build_test(spec: ChainSpec, **constants) -> TestPlan:
     )
 
 
-def classify(h_value: float, plan: TestPlan) -> str:
-    """"product" iff the value exceeds the threshold; exact ties go to "single"."""
-    return "product" if h_value > plan.threshold else "single"
+def classify(h_values, plan: TestPlan) -> np.ndarray:
+    """True where a value is labeled "product": it exceeds the threshold.
+
+    Exact ties go to "single". Works elementwise on any array of values.
+    """
+    return np.asarray(h_values, dtype=float) > plan.threshold
 
 
 def chebyshev_error(plan: TestPlan) -> float:
@@ -98,38 +101,39 @@ def draw_h_samples(spec: ChainSpec, n: int, seed: SeedSpec) -> tuple[np.ndarray,
     i uses stream ``seed.stream_index + n + i``, so the two batches are
     independent and any trial order reproduces the same values.
     """
-    h_product = np.fromiter(
-        (stat_h(sample_product(spec, seed.stream(i))) for i in range(n)), dtype=float, count=n
+    return (
+        h_samples(sample_product, spec, n, seed),
+        h_samples(sample_single, spec, n, seed.stream(n)),
     )
-    h_single = np.fromiter(
-        (stat_h(sample_single(spec, seed.stream(n + i))) for i in range(n)), dtype=float, count=n
-    )
-    return h_product, h_single
 
 
-def empirical_power(
-    spec: ChainSpec, n: int, seed: SeedSpec, plan: TestPlan | None = None
-) -> PowerReport:
-    """Classify n draws from each ensemble and report the error rates.
+def power_from_samples(h_product, h_single, plan: TestPlan) -> PowerReport:
+    """Error rates of the threshold test on drawn statistic values.
 
     A false positive is a single-ensemble draw labeled "product"; a false
     negative is a product draw labeled "single". Accuracy balances the two
     hypotheses equally.
     """
-    if n < 10:
-        raise ValueError("power estimation needs at least 10 trials per ensemble")
-    if plan is None:
-        plan = build_test(spec)
-    h_product, h_single = draw_h_samples(spec, n, seed)
-    fnr = float((h_product <= plan.threshold).mean())
-    fpr = float((h_single > plan.threshold).mean())
+    fnr = float((~classify(h_product, plan)).mean())
+    fpr = float(classify(h_single, plan).mean())
     return PowerReport(
-        n_trials=n,
+        n_trials=len(h_product),
         accuracy=1.0 - (fpr + fnr) / 2.0,
         false_positive_rate=fpr,
         false_negative_rate=fnr,
         chebyshev_error_bound=chebyshev_error(plan),
     )
+
+
+def empirical_power(
+    spec: ChainSpec, n: int, seed: SeedSpec, plan: TestPlan | None = None
+) -> PowerReport:
+    """Classify n draws from each ensemble and report the error rates."""
+    if n < 10:
+        raise ValueError("power estimation needs at least 10 trials per ensemble")
+    if plan is None:
+        plan = build_test(spec)
+    return power_from_samples(*draw_h_samples(spec, n, seed), plan)
 
 
 def tv_lower_bound_empirical(xs, ys) -> float:

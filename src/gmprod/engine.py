@@ -1,0 +1,60 @@
+"""Batched Monte Carlo trials of the statistic h = tr((A^T A)^2).
+
+``h_samples(sample, spec, n, seed)`` returns the statistic of n trials
+drawn by a one-trial sampler (``sample_product`` or ``sample_single``),
+with trial i on stream ``seed.stream_index + i``, equal bit for bit to
+``stat_h(sample(spec, seed.stream(i)))``.
+
+One Philox generator keyed by the master seed serves every trial: the
+sampler gets it as ``rng``, and ``stream_rng`` resets its counter to
+``(0, 0, stream_index + i, 0)`` with an empty buffer before trial i,
+which is the state a new generator for that stream starts in. So each
+trial draws the same normals in the same order, without building a
+Philox per trial. Each trial's matrix is checked by ``as_matrix`` and
+stored in one slot of a preallocated stack; the statistic then runs as
+stacked matrix products over the stack. A stack holds at most
+``_CHUNK_ENTRIES`` matrix entries, which keeps memory bounded; a trial
+with more entries than that runs alone.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Callable
+
+import numpy as np
+
+from .core import ChainSpec, Matrix, as_matrix
+from .sampling import SeedSpec
+
+# 2**15 float64 entries, 256 KiB per stack.
+_CHUNK_ENTRIES = 1 << 15
+
+
+def _stacked_h(x: np.ndarray) -> np.ndarray:
+    """h of each matrix of an (m, rows, cols) stack, as ``stat_h`` computes it."""
+    # the Gram factor on the smaller side, as stat_h takes it
+    xt = np.swapaxes(x, 1, 2)
+    g = xt @ x if x.shape[2] <= x.shape[1] else x @ xt
+    return (g * g).reshape(x.shape[0], -1).sum(axis=1)
+
+
+def h_samples(
+    sample: Callable[..., Matrix], spec: ChainSpec, n: int, seed: SeedSpec
+) -> np.ndarray:
+    """h of n trials of ``sample(spec, seed.stream(i), rng=...)``, i = 0..n-1."""
+    if n < 1:
+        raise ValueError(f"need at least one trial, got {n}")
+    seed.stream(n - 1)  # the last trial's stream index must fit in 64 bits
+    chunk = max(1, min(n, _CHUNK_ENTRIES // (spec.p * spec.q)))
+    # built per call through np.random.Philox, never cached at import
+    rng = np.random.Generator(
+        np.random.Philox(key=np.array([seed.master_seed, 0], dtype=np.uint64))
+    )
+    stack = np.empty((chunk, spec.p, spec.q))
+    out = np.empty(n)
+    for first in range(0, n, chunk):
+        m = min(chunk, n - first)
+        for t in range(m):
+            stack[t] = as_matrix(sample(spec, seed.stream(first + t), rng=rng))
+        out[first : first + m] = _stacked_h(stack[:m])
+    return out

@@ -19,8 +19,6 @@ from itertools import product
 
 import numpy as np
 
-from .sampling import SeedSpec
-
 # E[g^k] for g ~ N(0,1): (k-1)!! for even k, zero for odd k.
 _EVEN_MOMENT = {0: 1, 2: 1, 4: 3, 6: 15, 8: 105}
 
@@ -129,15 +127,21 @@ def wick_exact_var_h_single(p: int, q: int, budget: WickBudget = WickBudget()) -
     return Fraction(second - mean * mean)
 
 
-def mc_mean(statistic, n: int, seed: SeedSpec) -> CIEstimate:
-    """Mean of ``statistic`` over n independently seeded trials.
+def _batch(values, least: int, what: str) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1 or values.size < least:
+        raise ValueError(f"{what} needs a 1-D batch of at least {least} trials")
+    return values
 
-    ``statistic`` maps a SeedSpec to a float; trial i runs on the stream
-    ``seed.stream_index + i``.
+
+def mc_mean(values) -> CIEstimate:
+    """Sample mean of a batch of statistic values, with its standard error.
+
+    ``values`` holds one value per independently seeded trial, typically
+    from ``engine.h_samples``.
     """
-    if n < 2:
-        raise ValueError("mean estimation needs at least 2 trials")
-    values = np.fromiter((statistic(seed.stream(i)) for i in range(n)), dtype=float, count=n)
+    values = _batch(values, 2, "mean estimation")
+    n = values.size
     return CIEstimate(
         estimate=float(values.mean()),
         std_error=float(values.std(ddof=1) / np.sqrt(n)),
@@ -145,11 +149,10 @@ def mc_mean(statistic, n: int, seed: SeedSpec) -> CIEstimate:
     )
 
 
-def mc_variance(statistic, n: int, seed: SeedSpec) -> CIEstimate:
-    """Unbiased sample variance of ``statistic`` with a jackknife standard error."""
-    if n < 10:
-        raise ValueError("variance estimation needs at least 10 trials")
-    values = np.fromiter((statistic(seed.stream(i)) for i in range(n)), dtype=float, count=n)
+def mc_variance(values) -> CIEstimate:
+    """Unbiased sample variance of a batch of statistic values, with a jackknife standard error."""
+    values = _batch(values, 10, "variance estimation")
+    n = values.size
     centered = values - values.mean()
     total_sq = float((centered * centered).sum())
     # leave-one-out unbiased variances, vectorized over the left-out index

@@ -19,6 +19,8 @@ import numpy as np
 from .core import ChainSpec, Matrix
 
 _U64 = 1 << 64
+# the four-word output block of a Philox that has drawn nothing yet
+_EMPTY_BUFFER = (0, 0, 0, 0)
 
 
 @dataclass(frozen=True)
@@ -38,14 +40,33 @@ class SeedSpec:
         return SeedSpec(self.master_seed, self.stream_index + offset)
 
 
-def stream_rng(seed: SeedSpec) -> np.random.Generator:
+def stream_rng(seed: SeedSpec, rng: np.random.Generator | None = None) -> np.random.Generator:
     """Generator for the stream named by ``seed``.
 
     The master seed keys Philox; the stream index selects a disjoint
     2**128-long counter block, so distinct indices never overlap. The
     key/counter words are passed as uint64 arrays because this runs once
     per Monte Carlo trial and the integer path is measurably slower.
+
+    Given ``rng``, a Generator over a Philox, its bit generator is reset
+    to the state a new one for this stream starts in (empty buffer) and
+    ``rng`` itself is returned. The stream is the same; the reset skips
+    building a Philox, which costs several times more than the reset.
     """
+    if rng is not None:
+        bit_generator = rng.bit_generator
+        if not isinstance(bit_generator, np.random.Philox):
+            raise TypeError(f"can only reset a Philox stream, got {type(bit_generator).__name__}")
+        # the state setter takes plain integers, which skips the arrays below
+        bit_generator.state = {
+            "bit_generator": type(bit_generator).__name__,
+            "state": {"counter": (0, 0, seed.stream_index, 0), "key": (seed.master_seed, 0)},
+            "buffer": _EMPTY_BUFFER,
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return rng
     key = np.zeros(2, dtype=np.uint64)
     key[0] = seed.master_seed
     counter = np.zeros(4, dtype=np.uint64)
@@ -53,24 +74,37 @@ def stream_rng(seed: SeedSpec) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 
-def gaussian_matrix(rows: int, cols: int, seed: SeedSpec) -> Matrix:
-    """rows x cols matrix of i.i.d. standard normals drawn from ``seed``'s stream."""
+def gaussian_matrix(
+    rows: int, cols: int, seed: SeedSpec, rng: np.random.Generator | None = None
+) -> Matrix:
+    """rows x cols matrix of i.i.d. standard normals drawn from ``seed``'s stream.
+
+    ``rng``, if given, is reset to the stream and drawn from (see ``stream_rng``).
+    """
     if rows < 1 or cols < 1:
         raise ValueError(f"matrix dimensions must be positive, got {rows}x{cols}")
-    return stream_rng(seed).standard_normal((rows, cols))
+    return stream_rng(seed, rng).standard_normal((rows, cols))
 
 
-def sample_single(spec: ChainSpec, seed: SeedSpec) -> Matrix:
+def sample_single(
+    spec: ChainSpec, seed: SeedSpec, rng: np.random.Generator | None = None
+) -> Matrix:
     """One draw of the single-matrix ensemble: a p x q Gaussian scaled by 1/sqrt(d1).
 
     Requires at least one inner dimension so the normalizer is defined; for
-    a bare unnormalized Gaussian the caller scales explicitly.
+    a bare unnormalized Gaussian the caller scales explicitly. ``rng`` is
+    passed to ``stream_rng``.
     """
     scale = 1.0 / math.sqrt(spec.d1)
-    return scale * gaussian_matrix(spec.p, spec.q, seed)
+    return scale * gaussian_matrix(spec.p, spec.q, seed, rng)
 
 
-def sample_product(spec: ChainSpec, seed: SeedSpec, validate: bool = True) -> Matrix:
+def sample_product(
+    spec: ChainSpec,
+    seed: SeedSpec,
+    validate: bool = True,
+    rng: np.random.Generator | None = None,
+) -> Matrix:
     """One draw of the product ensemble W_1 W_2 ... W_r.
 
     Factor i is a d_{i-1} x d_i Gaussian scaled by 1/sqrt(d_i), except the
@@ -78,19 +112,21 @@ def sample_product(spec: ChainSpec, seed: SeedSpec, validate: bool = True) -> Ma
     count. Factors are drawn first-to-last from a single stream, so a
     given seed always replays the identical product. Pass
     ``validate=False`` to explore chains that break the closure rule
-    d_{r-1} == d1 (the last normalizer stays 1/sqrt(d1)).
+    d_{r-1} == d1 (the last normalizer stays 1/sqrt(d1)). ``rng`` is
+    passed to ``stream_rng``.
     """
-    if spec.r < 2:
+    r = spec.r
+    if r < 2:
         raise ValueError("product ensemble needs at least two factors (nonempty inner)")
     if validate:
         spec.validate()
-    rng = stream_rng(seed)
+    rng = stream_rng(seed, rng)
     dims = (spec.p, *spec.inner, spec.q)
     d1 = spec.inner[0]
     out = None
-    for i in range(spec.r):
+    for i in range(r):
         g = rng.standard_normal((dims[i], dims[i + 1]))
-        scale = 1.0 / math.sqrt(d1 if i == spec.r - 1 else dims[i + 1])
+        scale = 1.0 / math.sqrt(d1 if i == r - 1 else dims[i + 1])
         w = scale * g
         out = w if out is None else out @ w
     return out

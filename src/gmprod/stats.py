@@ -14,8 +14,8 @@ def stat_h(x) -> float:
     Equals the squared Frobenius norm of the Gram factor, so no second
     matrix product is needed. The factor is taken on the smaller side
     (X X^T and X^T X share nonzero eigenvalues), keeping the cost at
-    O(rows * cols * min(rows, cols)); this is the hot path of every
-    Monte Carlo loop, so it works on the raw product directly.
+    O(rows * cols * min(rows, cols)). ``engine.h_samples`` computes the
+    same value, bit for bit, over stacks of trials.
     """
     x = as_matrix(x)
     side = x if x.shape[1] <= x.shape[0] else x.T

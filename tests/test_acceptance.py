@@ -19,6 +19,7 @@ from gmprod.distinguisher import (
     empirical_power,
     tv_lower_bound_empirical,
 )
+from gmprod.engine import h_samples
 from gmprod.moments import (
     base_gaussian_moments,
     closed_form_moments,
@@ -29,8 +30,7 @@ from gmprod.moments import (
     variance_single_exact,
 )
 from gmprod.oracle import mc_mean, mc_variance, wick_exact_mean_h, wick_exact_var_h_single
-from gmprod.sampling import SeedSpec, gaussian_matrix, sample_product, sample_single
-from gmprod.stats import stat_h
+from gmprod.sampling import SeedSpec, sample_product, sample_single
 
 
 def check(criterion: str, ok: bool, detail: str = ""):
@@ -84,9 +84,9 @@ def test_03_single_gaussian_variance_identities():
 def test_04_monte_carlo_mean_reproduction():
     spec = ChainSpec(2, 2, (4,))
     n = 1_000_000
-    ci1 = mc_mean(lambda s: stat_h(sample_single(spec, s)), n, SeedSpec(2026))
+    ci1 = mc_mean(h_samples(sample_single, spec, n, SeedSpec(2026)))
     dev1 = abs(ci1.estimate - 1.25) / ci1.std_error
-    ci2 = mc_mean(lambda s: stat_h(sample_product(spec, s)), n, SeedSpec(2027))
+    ci2 = mc_mean(h_samples(sample_product, spec, n, SeedSpec(2027)))
     dev2 = abs(ci2.estimate - 1.9375) / ci2.std_error
     check(
         "4 Monte Carlo mean reproduction",
@@ -97,7 +97,8 @@ def test_04_monte_carlo_mean_reproduction():
 
 
 def test_05_monte_carlo_variance_reproduction():
-    ci = mc_variance(lambda s: stat_h(gaussian_matrix(2, 2, s)), 1_000_000, SeedSpec(2028))
+    # d1 = 1 leaves the single ensemble unnormalized: a bare 2x2 Gaussian
+    ci = mc_variance(h_samples(sample_single, ChainSpec(2, 2, (1,)), 1_000_000, SeedSpec(2028)))
     dev = abs(ci.estimate - 976.0) / ci.std_error
     check(
         "5 Monte Carlo variance reproduction",

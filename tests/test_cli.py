@@ -65,6 +65,28 @@ class TestMoments:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
+    def test_nonfinite_constant_rejected(self, value, capsys):
+        code, out, err = run_cli(
+            ["moments", "--p", "2", "--q", "2", "--inner", "4", "--constants", f"c1={value}"],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("gmprod:") and "c1" in err
+
+    def test_canonical_json_refuses_nonfinite(self):
+        with pytest.raises(ValueError):
+            canonical_json({"x": float("inf")})
+
+    def test_unwritable_out_path(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run_cli(
+            ["moments", "--p", "2", "--q", "2", "--inner", "4", "--out", str(target)], capsys
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("gmprod: cannot write") and err.count("\n") == 1
+        assert not target.exists()
+
 
 class TestDistinguish:
     def test_report_fields(self, capsys):
@@ -122,6 +144,15 @@ class TestSweep:
         assert code == 0
         report = json.loads(out)
         assert len(report["rows"]) == 2
+
+    def test_duplicate_grid_rejected(self, capsys):
+        # geomspace(4, 6, 6) rounds to 4, 4, 5, 5, 6, 6
+        code, out, err = run_cli(
+            ["sweep", "--p", "2", "--q", "2", "--d-min", "4", "--d-max", "6",
+             "--steps", "6", "--trials", "20"], capsys
+        )
+        assert code == 2 and out == ""
+        assert "distinct" in err
 
     def test_bad_range(self, capsys):
         code, _, err = run_cli(

@@ -135,3 +135,27 @@ class TestChainSpec:
         ChainSpec(2, 3, (3,)).validate(strict=True)
         with pytest.raises(ValueError, match="strict"):
             ChainSpec(2, 3, (2,)).validate(strict=True)
+
+    @pytest.mark.parametrize(
+        "p, q, inner, expected",
+        [
+            # any integral type, stored as a Python int
+            (np.int64(2), np.uint8(3), (np.int32(5),), (2, 3, (5,))),
+            # bool is not a dimension
+            (True, 2, (4,), None),
+            (2, 2, (np.True_,), None),
+            # non-integral inner dimensions are refused, never truncated
+            (2, 2, (2.7,), None),
+            (2, 2, (4.0,), None),
+            (2.0, 2, (4,), None),
+            (2, 2, ("4",), None),
+        ],
+    )
+    def test_dimension_types(self, p, q, inner, expected):
+        if expected is None:
+            with pytest.raises(ValueError, match="positive integer"):
+                ChainSpec(p, q, inner)
+            return
+        spec = ChainSpec(p, q, inner)
+        assert (spec.p, spec.q, spec.inner) == expected
+        assert all(type(v) is int for v in (spec.p, spec.q, *spec.inner))

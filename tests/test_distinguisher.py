@@ -13,6 +13,7 @@ from gmprod.distinguisher import (
     empirical_power,
     kl_jiang_ma,
     pinsker_tv_from_kl,
+    power_from_samples,
     tv_lower_bound_empirical,
     tv_upper_bound,
 )
@@ -49,13 +50,18 @@ class TestClassify:
     PLAN = TestPlan(ChainSpec(2, 2, (4,)), 1.25, 1.9375, 1.59375, 0.1, 0.2)
 
     def test_above(self):
-        assert classify(self.PLAN.threshold + 1.0, self.PLAN) == "product"
+        assert classify(self.PLAN.threshold + 1.0, self.PLAN)
 
     def test_below(self):
-        assert classify(self.PLAN.threshold - 1.0, self.PLAN) == "single"
+        assert not classify(self.PLAN.threshold - 1.0, self.PLAN)
 
     def test_tie_goes_to_single(self):
-        assert classify(self.PLAN.threshold, self.PLAN) == "single"
+        assert not classify(self.PLAN.threshold, self.PLAN)
+
+    def test_elementwise(self):
+        t = self.PLAN.threshold
+        labels = classify(np.array([t - 1.0, t, t + 1.0]), self.PLAN)
+        assert labels.tolist() == [False, False, True]
 
     def test_scale_consistency(self):
         # classifying c^4-scaled values against a c^4-scaled plan gives
@@ -66,8 +72,8 @@ class TestClassify:
             self.PLAN.threshold * c4, self.PLAN.var_single * c4**2,
             self.PLAN.var_product_bound * c4**2,
         )
-        for h in np.linspace(0.0, 4.0, 33):
-            assert classify(h, self.PLAN) == classify(h * c4, scaled)
+        h = np.linspace(0.0, 4.0, 33)
+        assert np.array_equal(classify(h, self.PLAN), classify(h * c4, scaled))
 
 
 class TestChebyshevError:
@@ -114,6 +120,14 @@ class TestEmpiricalPower:
     def test_too_few_trials(self):
         with pytest.raises(ValueError):
             empirical_power(ChainSpec(2, 2, (4,)), 5, SeedSpec(0))
+
+    def test_rates_from_samples(self):
+        # ties go to "single": the product draw at the threshold is a false negative
+        plan = TestPlan(ChainSpec(2, 2, (4,)), 1.0, 2.0, 1.5, 0.1, 0.2)
+        rep = power_from_samples([1.5, 2.0, 3.0, 4.0], [0.5, 1.0, 1.6, 1.5], plan)
+        assert (rep.false_negative_rate, rep.false_positive_rate) == (0.25, 0.25)
+        assert rep.accuracy == 0.75 and rep.n_trials == 4
+        assert rep.chebyshev_error_bound == chebyshev_error(plan)
 
     def test_easy_regime_beats_hard_regime(self):
         easy = empirical_power(ChainSpec(32, 32, (64,)), 100, SeedSpec(7))

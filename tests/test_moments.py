@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gmprod.core import ChainSpec
+from gmprod.engine import h_samples
 from gmprod.moments import (
     MomentVector,
     base_gaussian_moments,
@@ -25,7 +26,6 @@ from gmprod.moments import (
 )
 from gmprod.oracle import mc_mean, mc_variance
 from gmprod.sampling import SeedSpec, sample_product, sample_single
-from gmprod.stats import stat_h
 
 
 def fold_layers(inner):
@@ -230,9 +230,7 @@ class TestVarianceBound:
         n = 20_000
         for k, spec in enumerate(self.DOMINANCE_GRID):
             bound = self.CALIBRATION * variance_bound_product(spec)
-            ci = mc_variance(
-                lambda s: stat_h(sample_product(spec, s)), n, SeedSpec(991, k * n)
-            )
+            ci = mc_variance(h_samples(sample_product, spec, n, SeedSpec(991, k * n)))
             assert bound >= ci.estimate - 3 * ci.std_error, \
                 f"{spec}: {bound:.3f} < {ci.estimate:.3f} - 3*{ci.std_error:.3f}"
 
@@ -258,8 +256,8 @@ class TestMonteCarloConsistency:
         passing = 0
         for k, spec in enumerate(self.GRID):
             seed = SeedSpec(4242, k * 2 * n)
-            ci_prod = mc_mean(lambda s: stat_h(sample_product(spec, s)), n, seed)
-            ci_single = mc_mean(lambda s: stat_h(sample_single(spec, s)), n, seed.stream(n))
+            ci_prod = mc_mean(h_samples(sample_product, spec, n, seed))
+            ci_single = mc_mean(h_samples(sample_single, spec, n, seed.stream(n)))
             ok_prod = abs(ci_prod.estimate - mean_h_product(spec)) <= 4 * ci_prod.std_error
             mu_single = mean_h_single(spec.p, spec.q, spec.d1)
             ok_single = abs(ci_single.estimate - mu_single) <= 4 * ci_single.std_error

@@ -15,8 +15,8 @@ from gmprod.oracle import (
     wick_exact_mean_h,
     wick_exact_var_h_single,
 )
-from gmprod.sampling import SeedSpec, gaussian_matrix, sample_single
-from gmprod.stats import stat_h
+from gmprod.engine import h_samples
+from gmprod.sampling import SeedSpec, sample_single
 
 
 class TestWickMean:
@@ -63,56 +63,56 @@ class TestWickVariance:
 
 class TestMcMean:
     def test_constant_statistic(self):
-        ci = mc_mean(lambda s: 7.5, 100, SeedSpec(0))
+        ci = mc_mean(np.full(100, 7.5))
         assert ci.estimate == 7.5 and ci.std_error == 0.0 and ci.n == 100
 
     def test_deterministic(self):
         spec = ChainSpec(2, 2, (4,))
-        stat = lambda s: stat_h(sample_single(spec, s))
-        a = mc_mean(stat, 500, SeedSpec(1, 10))
-        b = mc_mean(stat, 500, SeedSpec(1, 10))
+        a = mc_mean(h_samples(sample_single, spec, 500, SeedSpec(1, 10)))
+        b = mc_mean(h_samples(sample_single, spec, 500, SeedSpec(1, 10)))
         assert a == b
 
     def test_too_few_trials(self):
         with pytest.raises(ValueError):
-            mc_mean(lambda s: 0.0, 1, SeedSpec(0))
+            mc_mean([0.0])
+        with pytest.raises(ValueError):
+            mc_mean(np.zeros((2, 2)))
 
     def test_single_ensemble_mean(self):
         # target mean_h_single(2,2,4) = 1.25 at modest n
         spec = ChainSpec(2, 2, (4,))
-        ci = mc_mean(lambda s: stat_h(sample_single(spec, s)), 20_000, SeedSpec(88))
+        ci = mc_mean(h_samples(sample_single, spec, 20_000, SeedSpec(88)))
         assert abs(ci.estimate - 1.25) <= 4 * ci.std_error
 
 
 class TestMcVariance:
     def test_constant_statistic(self):
-        ci = mc_variance(lambda s: 3.0, 50, SeedSpec(0))
+        ci = mc_variance(np.full(50, 3.0))
         assert ci.estimate == 0.0 and ci.std_error == 0.0
 
     def test_too_few_trials(self):
         with pytest.raises(ValueError):
-            mc_variance(lambda s: 0.0, 9, SeedSpec(0))
+            mc_variance(np.zeros(9))
 
     def test_scalar_fourth_power(self):
-        # Var(g^4) = 105 - 9 = 96
-        stat = lambda s: gaussian_matrix(1, 1, s)[0, 0] ** 4
-        ci = mc_variance(stat, 50_000, SeedSpec(404))
+        # Var(g^4) = 105 - 9 = 96; h of a 1x1 Gaussian is g^4, and d1 = 1
+        # leaves the single ensemble unnormalized
+        ci = mc_variance(h_samples(sample_single, ChainSpec(1, 1, (1,)), 50_000, SeedSpec(404)))
         assert abs(ci.estimate - 96.0) <= 4 * ci.std_error
 
     def test_unnormalized_gaussian(self):
-        stat = lambda s: stat_h(gaussian_matrix(2, 2, s))
-        ci = mc_variance(stat, 50_000, SeedSpec(505))
+        ci = mc_variance(h_samples(sample_single, ChainSpec(2, 2, (1,)), 50_000, SeedSpec(505)))
         assert abs(ci.estimate - 976.0) <= 4 * ci.std_error
 
     def test_jackknife_matches_batch_spread(self):
         # jackknife SE of the variance should agree with the spread of
         # independent-batch variance estimates within a factor of ~2
         spec = ChainSpec(2, 2, (4,))
-        stat = lambda s: stat_h(sample_single(spec, s))
         n = 4000
-        ci = mc_variance(stat, n, SeedSpec(9000))
+        ci = mc_variance(h_samples(sample_single, spec, n, SeedSpec(9000)))
         batch = [
-            mc_variance(stat, n, SeedSpec(9000, (k + 1) * n)).estimate for k in range(12)
+            mc_variance(h_samples(sample_single, spec, n, SeedSpec(9000, (k + 1) * n))).estimate
+            for k in range(12)
         ]
         spread = np.std(batch, ddof=1)
         assert 0.4 * spread <= ci.std_error <= 2.5 * spread
@@ -122,12 +122,12 @@ def test_mc_error_shrinks_with_n():
     # 1/sqrt(n) convergence, checked in aggregate over seeds rather than
     # asserted per run
     spec = ChainSpec(2, 2, (4,))
-    stat = lambda s: stat_h(sample_single(spec, s))
     target = 1.25
 
     def median_abs_err(n):
         errs = [
-            abs(mc_mean(stat, n, SeedSpec(1000 + k, 10 * n * k)).estimate - target)
+            abs(mc_mean(h_samples(sample_single, spec, n, SeedSpec(1000 + k, 10 * n * k))).estimate
+                - target)
             for k in range(7)
         ]
         return sorted(errs)[len(errs) // 2]
