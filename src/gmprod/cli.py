@@ -2,11 +2,12 @@
 
 Subcommands: ``moments`` (formula evaluation), ``distinguish`` (threshold
 test power), ``sweep`` (phase data over a geometric grid of inner
-dimensions), ``oracle`` (exact enumeration vs. closed forms). Output is
-canonical JSON (sorted keys) or CSV (fixed header, LF endings, reals with
-17 significant digits); a re-run with the same configuration and seed is
-byte-identical. Exit status: 0 success, 2 invalid arguments, 3 exact
-oracle over budget.
+dimensions), ``oracle`` (exact enumeration vs. closed forms). Each
+subcommand builds one report; ``main`` writes it as canonical JSON (sorted
+keys) or as CSV (fixed header, LF endings, reals with 17 significant
+digits), and ``oracle`` as JSON only. A re-run with the same configuration
+and seed is byte-identical. Exit status: 0 success, 2 invalid arguments,
+3 exact oracle over budget; every error is one ``gmprod:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -34,9 +35,7 @@ from .distinguisher import (
 from .moments import (
     closed_form_moments,
     mean_h_asymptotic,
-    mean_h_product,
     mean_h_product_exact,
-    mean_h_single,
     variance_single_exact,
 )
 from .oracle import OracleBudgetError, WickBudget, wick_exact_mean_h, wick_exact_var_h_single
@@ -72,6 +71,7 @@ def _parse_constants(text: str) -> dict[str, float]:
     constants = {name: 1.0 for name in CONSTANT_NAMES}
     if not text.strip():
         return constants
+    given = set()
     for item in text.split(","):
         name, sep, raw = item.partition("=")
         name = name.strip()
@@ -79,7 +79,13 @@ def _parse_constants(text: str) -> dict[str, float]:
             raise ValueError(
                 f"bad constant {item!r}; expected name=value with name in {CONSTANT_NAMES}"
             )
-        value = float(raw)
+        if name in given:
+            raise ValueError(f"constant {name} is given more than once")
+        given.add(name)
+        try:
+            value = float(raw)
+        except ValueError:
+            raise ValueError(f"constant {name} must be a number, got {raw!r}") from None
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"constant {name} must be positive and finite, got {value}")
         constants[name] = value
@@ -94,18 +100,22 @@ def _default_seed() -> int:
         raise ValueError(f"GMPROD_SEED must be an integer, got {raw!r}") from None
 
 
-def _fmt_real(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    return str(x)
+def _csv_field(value) -> str:
+    """A CSV field: reals with 17 significant digits, lists (``inner``) joined by ``;``."""
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    if isinstance(value, list):
+        return ";".join(map(str, value))
+    return str(value)
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
+def _csv_text(header: list[str], records: list[dict]) -> str:
+    """The header line, then one line per record holding its ``header`` fields in order."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt_real(v) for v in row])
+    for record in records:
+        writer.writerow([_csv_field(record[k]) for k in header])
     return buf.getvalue()
 
 
@@ -131,7 +141,7 @@ def _frac_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def cmd_moments(args) -> str:
+def cmd_moments(args):
     spec = _spec_from(args)
     if spec.r < 2:
         raise ValueError("moments requires at least one inner dimension")
@@ -142,22 +152,18 @@ def cmd_moments(args) -> str:
         "p": spec.p,
         "q": spec.q,
         "inner": list(spec.inner),
-        "mean_product": mean_h_product(spec),
+        "mean_product": plan.mu_product,
         "mean_asymptotic": mean_h_asymptotic(spec),
-        "mean_single": mean_h_single(spec.p, spec.q, spec.d1),
-        "var_single": variance_single_exact(spec.p, spec.q) / spec.d1**4,
+        "mean_single": plan.mu_single,
+        "var_single": plan.var_single,
         "var_product_bound": plan.var_product_bound,
         "s1": s.s1, "s2": s.s2, "s3": s.s3, "s4": s.s4, "s5": s.s5, "s6": s.s6,
         "constants": constants,
     }
-    if args.format == "csv":
-        row = [report[k] if k != "inner" else ";".join(map(str, spec.inner))
-               for k in MOMENTS_CSV_HEADER]
-        return _csv_text(MOMENTS_CSV_HEADER, [row])
-    return canonical_json(report)
+    return report, MOMENTS_CSV_HEADER, [report]
 
 
-def cmd_distinguish(args) -> str:
+def cmd_distinguish(args):
     spec = _spec_from(args)
     if spec.r < 2:
         raise ValueError("distinguish requires at least one inner dimension")
@@ -181,16 +187,14 @@ def cmd_distinguish(args) -> str:
         "chebyshev_error_bound": report_values.chebyshev_error_bound,
         "constants": constants,
     }
-    if args.format == "csv":
-        row = [report[k] if k != "inner" else ";".join(map(str, spec.inner))
-               for k in DISTINGUISH_CSV_HEADER]
-        return _csv_text(DISTINGUISH_CSV_HEADER, [row])
-    return canonical_json(report)
+    return report, DISTINGUISH_CSV_HEADER, [report]
 
 
-def cmd_sweep(args) -> str:
+def cmd_sweep(args):
     if args.r < 2:
         raise ValueError("sweep requires at least two factors (--r >= 2)")
+    if args.d_min < 1:
+        raise ValueError(f"d-min must be at least 1, got {args.d_min}")
     if args.d_min > args.d_max:
         raise ValueError(f"d-min {args.d_min} exceeds d-max {args.d_max}")
     if args.steps < 2:
@@ -213,27 +217,24 @@ def cmd_sweep(args) -> str:
         row_seed = SeedSpec(args.seed, k * 2 * args.trials)
         h_product, h_single = draw_h_samples(spec, args.trials, row_seed)
         power = power_from_samples(h_product, h_single, plan)
-        rows.append([
-            d,
-            power.accuracy,
-            tv_lower_bound_empirical(h_product, h_single),
-            tv_upper_bound(spec, constants["c"]),
-            power.chebyshev_error_bound,
-            plan.mu_product - plan.mu_single,
-        ])
-    if args.format == "json":
-        report = {
-            "p": args.p, "q": args.q, "r": args.r, "trials": args.trials, "seed": args.seed,
-            "constants": constants,
-            "rows": [dict(zip(SWEEP_CSV_HEADER, row)) for row in rows],
-        }
-        return canonical_json(report)
-    return _csv_text(SWEEP_CSV_HEADER, rows)
+        rows.append({
+            "d": d,
+            "accuracy": power.accuracy,
+            "tv_lower_empirical": tv_lower_bound_empirical(h_product, h_single),
+            "tv_upper_c1": tv_upper_bound(spec, constants["c"]),
+            "chebyshev_error": power.chebyshev_error_bound,
+            "mean_gap": plan.mu_product - plan.mu_single,
+        })
+    report = {
+        "p": args.p, "q": args.q, "r": args.r, "trials": args.trials, "seed": args.seed,
+        "constants": constants,
+        "rows": rows,
+    }
+    return report, SWEEP_CSV_HEADER, rows
 
 
-def cmd_oracle(args) -> str:
-    spec = ChainSpec(args.p, args.q, _parse_inner(args.inner))
-    spec.validate(strict=args.strict_dims)
+def cmd_oracle(args):
+    spec = _spec_from(args)
     budget = WickBudget(max_monomials=args.max_monomials)
     wick_mean = wick_exact_mean_h(spec.p, spec.q, spec.inner, budget)
     closed_mean = mean_h_product_exact(spec)
@@ -254,17 +255,25 @@ def cmd_oracle(args) -> str:
             "closed_form_variance": _frac_str(closed_var),
             "equal_variance": wick_var == closed_var,
         })
-    return canonical_json(report)
+    return report, None, []  # JSON only: the parser offers oracle no csv format
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one ``gmprod:`` line on stderr, exit status 2."""
+
+    def error(self, message):
+        self.exit(2, f"gmprod: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gmprod",
         description="Gaussian matrix product ensembles: moments, distinguishing tests, oracles.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p: argparse.ArgumentParser, inner: bool = True):
+    def add_common(p: argparse.ArgumentParser, formats: tuple[str, ...], inner: bool = True):
+        """Options every subcommand takes; ``formats`` lists its output formats, default first."""
         p.add_argument("--p", type=int, required=True, help="output row count")
         p.add_argument("--q", type=int, required=True, help="output column count")
         if inner:
@@ -273,46 +282,45 @@ def build_parser() -> argparse.ArgumentParser:
                        help="master seed (default: GMPROD_SEED env var, else 0)")
         p.add_argument("--constants", default="",
                        help="comma-separated name=value overrides for c,c1..c4,kappa_p,kappa_q (default all 1)")
-        p.add_argument("--format", choices=("json", "csv"), default=None, help="output format")
+        p.add_argument("--format", choices=formats, default=formats[0], help="output format")
         p.add_argument("--out", default=None, help="write output to this path instead of stdout")
         p.add_argument("--strict-dims", action="store_true",
                        help="require every inner dimension >= max(p, q)")
 
     p_moments = sub.add_parser("moments", help="analytic means, variances, and the moment vector")
-    add_common(p_moments)
-    p_moments.set_defaults(func=cmd_moments, default_format="json")
+    add_common(p_moments, ("json", "csv"))
+    p_moments.set_defaults(func=cmd_moments)
 
     p_dist = sub.add_parser("distinguish", help="empirical power of the threshold test")
-    add_common(p_dist)
+    add_common(p_dist, ("json", "csv"))
     p_dist.add_argument("--trials", type=int, default=400, help="trials per ensemble")
-    p_dist.set_defaults(func=cmd_distinguish, default_format="json")
+    p_dist.set_defaults(func=cmd_distinguish)
 
     p_sweep = sub.add_parser("sweep", help="phase data over a geometric grid of inner dimensions")
-    add_common(p_sweep, inner=False)
+    add_common(p_sweep, ("csv", "json"), inner=False)
     p_sweep.add_argument("--r", type=int, default=2, help="number of factors in the chain")
     p_sweep.add_argument("--d-min", type=int, required=True, help="smallest inner dimension")
     p_sweep.add_argument("--d-max", type=int, required=True, help="largest inner dimension")
     p_sweep.add_argument("--steps", type=int, required=True, help="number of grid points")
     p_sweep.add_argument("--trials", type=int, default=400, help="trials per ensemble per grid point")
-    p_sweep.set_defaults(func=cmd_sweep, default_format="csv")
+    p_sweep.set_defaults(func=cmd_sweep)
 
     p_oracle = sub.add_parser("oracle", help="exact enumeration vs. closed forms at tiny sizes")
-    add_common(p_oracle)
+    add_common(p_oracle, ("json",))
     p_oracle.add_argument("--max-monomials", type=int, default=WickBudget().max_monomials,
                           help="enumeration budget")
-    p_oracle.set_defaults(func=cmd_oracle, default_format="json")
+    p_oracle.set_defaults(func=cmd_oracle)
 
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.format is None:
-        args.format = args.default_format
     try:
         if args.seed is None:
             args.seed = _default_seed()
-        text = args.func(args)
+        report, csv_header, records = args.func(args)
+        text = canonical_json(report) if args.format == "json" else _csv_text(csv_header, records)
     except OracleBudgetError as exc:
         print(f"gmprod: {exc}", file=sys.stderr)
         return 3

@@ -1,4 +1,4 @@
-"""Dense matrix primitives and the dimension profile of a product chain.
+"""Matrix validation and the dimension profile of a product chain.
 
 Matrices are plain 2-D float64 numpy arrays; every public operation
 validates its inputs and returns finite values. All functions are pure,
@@ -25,37 +25,6 @@ def as_matrix(x) -> Matrix:
     if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
-
-
-def matmul(a, b) -> Matrix:
-    """Matrix product ``a @ b``; rejects mismatched shapes."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(
-            f"shape mismatch for product: {a.shape[0]}x{a.shape[1]} @ {b.shape[0]}x{b.shape[1]}"
-        )
-    return a @ b
-
-
-def gram(x) -> Matrix:
-    """Return X^T X, exactly symmetric.
-
-    The raw BLAS product can carry tiny asymmetries; pairing each entry
-    with its mirror (their exact mean) makes the result symmetric to the
-    last bit, which downstream trace-of-square code relies on.
-    """
-    x = as_matrix(x)
-    g = x.T @ x
-    return (g + g.T) * 0.5
-
-
-def trace(x) -> float:
-    """Sum of diagonal entries; rejects non-square input."""
-    x = as_matrix(x)
-    if x.shape[0] != x.shape[1]:
-        raise ValueError(f"trace requires a square matrix, got {x.shape}")
-    return float(np.trace(x))
 
 
 def frobenius_sq(x) -> float:

@@ -3,11 +3,10 @@
 The test thresholds the Schatten-4 statistic at the midpoint of the two
 analytic means: the midpoint makes the Chebyshev misclassification bound
 symmetric between the hypotheses. Total-variation distance is bracketed
-from above by the chain bound (and by Pinsker applied to the KL bound for
-one factor) and from below by the two-sample Kolmogorov-Smirnov statistic
-of the observed statistic values, which is a consistent estimator of a TV
-lower bound because pushing both laws through the statistic can only
-shrink their distance.
+from above by the chain bound and from below by the two-sample
+Kolmogorov-Smirnov statistic of the observed statistic values, which is a
+consistent estimator of a TV lower bound because pushing both laws through
+the statistic can only shrink their distance.
 """
 
 from __future__ import annotations
@@ -165,22 +164,3 @@ def tv_upper_bound(spec: ChainSpec, c: float) -> float:
         raise ValueError("upper bound needs at least two factors")
     total = c * sum(math.sqrt(spec.p * spec.q / d) for d in spec.inner)
     return min(1.0, total)
-
-
-def kl_jiang_ma(p: int, q: int, d: int, c: float) -> float:
-    """KL bound c * pq / d between a scaled Gaussian block and an orthogonal block.
-
-    Valid only when both block dimensions are at most d.
-    """
-    if not c > 0:
-        raise ValueError("constant c must be positive")
-    if p > d or q > d:
-        raise ValueError(f"requires p, q <= d, got p={p}, q={q}, d={d}")
-    return c * p * q / d
-
-
-def pinsker_tv_from_kl(kl: float) -> float:
-    """TV upper bound sqrt(kl/2), clamped to 1."""
-    if kl < 0:
-        raise ValueError("KL divergence must be nonnegative")
-    return min(1.0, math.sqrt(kl / 2.0))

@@ -100,26 +100,21 @@ def sample_single(
 
 
 def sample_product(
-    spec: ChainSpec,
-    seed: SeedSpec,
-    validate: bool = True,
-    rng: np.random.Generator | None = None,
+    spec: ChainSpec, seed: SeedSpec, rng: np.random.Generator | None = None
 ) -> Matrix:
     """One draw of the product ensemble W_1 W_2 ... W_r.
 
     Factor i is a d_{i-1} x d_i Gaussian scaled by 1/sqrt(d_i), except the
     last factor, which is scaled by 1/sqrt(d1) regardless of its column
-    count. Factors are drawn first-to-last from a single stream, so a
-    given seed always replays the identical product. Pass
-    ``validate=False`` to explore chains that break the closure rule
-    d_{r-1} == d1 (the last normalizer stays 1/sqrt(d1)). ``rng`` is
-    passed to ``stream_rng``.
+    count; ``spec.validate()`` enforces the closure rule d_{r-1} == d1.
+    Factors are drawn first-to-last from a single stream, so a given seed
+    always replays the identical product. ``rng`` is passed to
+    ``stream_rng``.
     """
     r = spec.r
     if r < 2:
         raise ValueError("product ensemble needs at least two factors (nonempty inner)")
-    if validate:
-        spec.validate()
+    spec.validate()
     rng = stream_rng(seed, rng)
     dims = (spec.p, *spec.inner, spec.q)
     d1 = spec.inner[0]

@@ -74,6 +74,19 @@ class TestMoments:
         assert code == 2 and out == ""
         assert err.startswith("gmprod:") and "c1" in err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [("c1=2,c1=3", "constant c1 is given more than once"),
+         ("c1=abc", "constant c1 must be a number")],
+        ids=["repeated", "non-numeric"],
+    )
+    def test_malformed_constant_rejected(self, text, message, capsys):
+        code, out, err = run_cli(
+            ["moments", "--p", "2", "--q", "2", "--inner", "4", "--constants", text], capsys
+        )
+        assert code == 2 and out == ""
+        assert err.startswith(f"gmprod: {message}") and err.count("\n") == 1
+
     def test_canonical_json_refuses_nonfinite(self):
         with pytest.raises(ValueError):
             canonical_json({"x": float("inf")})
@@ -160,6 +173,13 @@ class TestSweep:
              "--steps", "2", "--trials", "20"], capsys
         )
         assert code == 2
+        # a nonpositive d-min is refused before the grid is built
+        code, out, err = run_cli(
+            ["sweep", "--p", "2", "--q", "2", "--d-min", "-4", "--d-max", "4",
+             "--steps", "2", "--trials", "20"], capsys
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("gmprod: d-min") and err.count("\n") == 1
 
 
 class TestOracle:
@@ -191,6 +211,13 @@ class TestOracle:
         )
         assert code == 3
         assert "too large for exact oracle" in err
+
+    def test_csv_format_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "--p", "2", "--q", "2", "--format", "csv"])
+        out = capsys.readouterr()
+        assert exc.value.code == 2 and out.out == ""
+        assert out.err.startswith("gmprod:") and out.err.count("\n") == 1
 
 
 class TestSeedHandling:
@@ -226,3 +253,19 @@ class TestSeedHandling:
         with pytest.raises(SystemExit) as exc:
             main(["distinguish", "--q", "2", "--inner", "4"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["distinguish", "--q", "2", "--inner", "4"],
+            ["moments", "--p", "x", "--q", "2", "--inner", "4"],
+            ["bogus"],
+        ],
+        ids=["missing-option", "not-an-int", "unknown-subcommand"],
+    )
+    def test_argparse_errors_print_one_line(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out = capsys.readouterr()
+        assert exc.value.code == 2 and out.out == ""
+        assert out.err.startswith("gmprod:") and out.err.count("\n") == 1

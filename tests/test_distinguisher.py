@@ -11,8 +11,6 @@ from gmprod.distinguisher import (
     classify,
     draw_h_samples,
     empirical_power,
-    kl_jiang_ma,
-    pinsker_tv_from_kl,
     power_from_samples,
     tv_lower_bound_empirical,
     tv_upper_bound,
@@ -189,21 +187,3 @@ class TestTvUpperBound:
     def test_bad_constant(self):
         with pytest.raises(ValueError):
             tv_upper_bound(ChainSpec(1, 1, (4,)), 0.0)
-
-
-class TestKlAndPinsker:
-    def test_kl_values(self):
-        assert kl_jiang_ma(2, 3, 600, 1.0) == pytest.approx(0.01, rel=1e-12)
-        assert kl_jiang_ma(1, 1, 1, 1.0) == 1.0
-        assert kl_jiang_ma(4, 5, 20, 1.0) == 1.0
-
-    def test_kl_hypothesis_enforced(self):
-        with pytest.raises(ValueError):
-            kl_jiang_ma(10, 2, 5, 1.0)
-
-    def test_pinsker(self):
-        assert pinsker_tv_from_kl(0.0) == 0.0
-        assert pinsker_tv_from_kl(2.0) == 1.0
-        assert pinsker_tv_from_kl(0.5) == 0.5
-        with pytest.raises(ValueError):
-            pinsker_tv_from_kl(-0.1)

@@ -113,17 +113,6 @@ class TestSampleProduct:
         with pytest.raises(ValueError):
             sample_product(ChainSpec(2, 2, (4, 5)), SeedSpec(0))
 
-    def test_relaxed_validation_keeps_d1_normalizer(self):
-        spec = ChainSpec(1, 1, (4, 9))
-        seed = SeedSpec(3, 8)
-        rng = stream_rng(seed)
-        g1 = rng.standard_normal((1, 4))
-        g2 = rng.standard_normal((4, 9))
-        g3 = rng.standard_normal((9, 1))
-        expected = (g1 / 2.0) @ (g2 / 3.0) @ (g3 / 2.0)
-        out = sample_product(spec, seed, validate=False)
-        assert np.allclose(out, expected, rtol=1e-15, atol=0)
-
     def test_single_factor_rejected(self):
         with pytest.raises(ValueError):
             sample_product(ChainSpec(2, 2), SeedSpec(0))

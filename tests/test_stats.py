@@ -1,12 +1,10 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import random_orthogonal
-from gmprod.stats import stat_h, stat_t, summarize
+from gmprod.stats import stat_h, stat_t
 
 
 def _mat(rows, cols, seed):
@@ -61,29 +59,3 @@ def test_rotation_invariance(rows, cols, seed):
     x = _mat(rows, cols, seed)
     rot = random_orthogonal(rows, np.random.default_rng(seed + 1))
     assert stat_h(rot @ x) == pytest.approx(stat_h(x), rel=1e-10)
-
-
-class TestSummarize:
-    def test_constant(self):
-        s = summarize([5.0, 5.0, 5.0])
-        assert s.mean == 5.0 and s.variance == 0.0 and s.std_error_of_mean == 0.0
-
-    def test_two_points(self):
-        s = summarize([0.0, 2.0])
-        assert s.mean == 1.0 and s.variance == 2.0
-
-    def test_hand_arithmetic(self):
-        s = summarize([1.0, 2.0, 3.0, 4.0])
-        assert s.mean == 2.5
-        assert s.variance == pytest.approx(5.0 / 3.0, rel=1e-15)
-        assert s.std_error_of_mean == pytest.approx(math.sqrt(5.0 / 12.0), rel=1e-15)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            summarize([])
-
-    def test_ordering_invariants(self):
-        s = summarize([3.0, -1.0, 4.0, 1.0, 5.0])
-        assert s.min <= s.mean <= s.max
-        assert s.variance >= 0.0
-        assert s.std_error_of_mean == pytest.approx(math.sqrt(s.variance / s.n), rel=1e-15)
