@@ -1,6 +1,6 @@
 """Gaussian matrix product ensembles: sampling, exact moments, distinguishing tests."""
 
-from .core import ChainSpec, Matrix, frobenius_sq
+from .core import ChainSpec, Matrix
 from .distinguisher import (
     PowerReport,
     TestPlan,
@@ -17,10 +17,8 @@ from .engine import h_samples
 from .moments import (
     MomentVector,
     UComponents,
-    VarianceBoundState,
     base_gaussian_moments,
     closed_form_moments,
-    initial_bound_state,
     layer_update,
     mean_h_asymptotic,
     mean_h_product,
@@ -40,26 +38,22 @@ from .oracle import (
     wick_exact_mean_h,
     wick_exact_var_h_single,
 )
-from .sampling import SeedSpec, gaussian_matrix, sample_product, sample_single, stream_rng
-from .stats import stat_h, stat_t
+from .sampling import SeedSpec, sample_product, sample_single, stream_rng
+from .stats import stat_h
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ChainSpec",
     "Matrix",
-    "frobenius_sq",
     "SeedSpec",
     "stream_rng",
-    "gaussian_matrix",
     "sample_single",
     "sample_product",
     "h_samples",
     "stat_h",
-    "stat_t",
     "MomentVector",
     "UComponents",
-    "VarianceBoundState",
     "base_gaussian_moments",
     "layer_update",
     "closed_form_moments",
@@ -70,7 +64,6 @@ __all__ = [
     "u_components_gaussian",
     "variance_from_components",
     "variance_single_exact",
-    "initial_bound_state",
     "variance_bound_product",
     "WickBudget",
     "CIEstimate",

@@ -62,8 +62,6 @@ def _parse_inner(text: str) -> tuple[int, ...]:
         dims = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise ValueError(f"malformed inner dimension list: {text!r}") from None
-    if any(d < 1 for d in dims):
-        raise ValueError(f"inner dimensions must be positive, got {dims}")
     return dims
 
 
@@ -101,8 +99,13 @@ def _default_seed() -> int:
 
 
 def _csv_field(value) -> str:
-    """A CSV field: reals with 17 significant digits, lists (``inner``) joined by ``;``."""
+    """A CSV field: reals with 17 significant digits, lists (``inner``) joined by ``;``.
+
+    Non-finite floats raise ValueError, as in ``canonical_json``.
+    """
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite value {value} cannot be written")
         return f"{value:.17g}"
     if isinstance(value, list):
         return ";".join(map(str, value))
@@ -203,7 +206,8 @@ def cmd_sweep(args):
         raise ValueError("sweep requires at least 10 trials per ensemble")
     constants = _parse_constants(args.constants)
     bound_kwargs = _bound_kwargs(constants)
-    grid = [int(round(d)) for d in np.geomspace(args.d_min, args.d_max, args.steps)]
+    # through float: numpy cannot take the log of an int above 2**64
+    grid = [int(round(d)) for d in np.geomspace(float(args.d_min), float(args.d_max), args.steps)]
     if len(set(grid)) < len(grid):
         raise ValueError(
             f"{args.steps} steps from {args.d_min} to {args.d_max} give only "
@@ -324,7 +328,8 @@ def main(argv=None) -> int:
     except OracleBudgetError as exc:
         print(f"gmprod: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
+        # OverflowError: a dimension too large to convert to a float
         print(f"gmprod: {exc}", file=sys.stderr)
         return 2
     if args.out:

@@ -27,12 +27,6 @@ def as_matrix(x) -> Matrix:
     return m
 
 
-def frobenius_sq(x) -> float:
-    """Sum of squared entries (squared Frobenius norm)."""
-    x = as_matrix(x)
-    return float((x * x).sum())
-
-
 def _dimension(name: str, value) -> int:
     """A positive dimension as a Python int: any integral type except bool, never a float."""
     try:

@@ -18,7 +18,6 @@ import numpy as np
 
 from .core import ChainSpec
 from .moments import (
-    initial_bound_state,
     mean_h_product,
     mean_h_single,
     variance_bound_product,
@@ -68,7 +67,7 @@ def build_test(spec: ChainSpec, **constants) -> TestPlan:
         mu_product=mu_product,
         threshold=(mu_single + mu_product) / 2.0,
         var_single=variance_single_exact(spec.p, spec.q) / spec.d1**4,
-        var_product_bound=variance_bound_product(spec, initial_bound_state(spec, **constants)),
+        var_product_bound=variance_bound_product(spec, **constants),
     )
 
 

@@ -2,17 +2,17 @@
 
 ``h_samples(sample, spec, n, seed)`` returns the statistic of n trials
 drawn by a one-trial sampler (``sample_product`` or ``sample_single``),
-with trial i on stream ``seed.stream_index + i``, equal bit for bit to
-``stat_h(sample(spec, seed.stream(i)))``.
+with trial i on stream ``seed.stream_index + i``.
 
-One Philox generator keyed by the master seed serves every trial: the
-sampler gets it as ``rng``, and ``stream_rng`` resets its counter to
-``(0, 0, stream_index + i, 0)`` with an empty buffer before trial i,
-which is the state a new generator for that stream starts in. So each
-trial draws the same normals in the same order, without building a
-Philox per trial. Each trial's matrix is checked by ``as_matrix`` and
-stored in one slot of a preallocated stack; the statistic then runs as
-stacked matrix products over the stack. A stack holds at most
+One Philox generator keyed by the master seed serves every trial. Before
+trial i, ``stream_rng`` resets it to the state a new generator for stream
+``seed.stream_index + i`` starts in (counter ``(0, 0, stream_index + i,
+0)``, empty buffer), and the sampler draws from it. So each trial draws
+the same normals in the same order as a Philox built for its stream,
+without building one per trial. Each trial's matrix is checked by
+``as_matrix`` and stored in one slot of a preallocated stack; the
+statistic then runs as stacked matrix products over the stack, equal bit
+for bit to ``stat_h`` of each matrix. A stack holds at most
 ``_CHUNK_ENTRIES`` matrix entries, which keeps memory bounded; a trial
 with more entries than that runs alone.
 """
@@ -24,7 +24,7 @@ from collections.abc import Callable
 import numpy as np
 
 from .core import ChainSpec, Matrix, as_matrix
-from .sampling import SeedSpec
+from .sampling import SeedSpec, stream_rng
 
 # 2**15 float64 entries, 256 KiB per stack.
 _CHUNK_ENTRIES = 1 << 15
@@ -39,9 +39,9 @@ def _stacked_h(x: np.ndarray) -> np.ndarray:
 
 
 def h_samples(
-    sample: Callable[..., Matrix], spec: ChainSpec, n: int, seed: SeedSpec
+    sample: Callable[[ChainSpec, np.random.Generator], Matrix], spec: ChainSpec, n: int, seed: SeedSpec
 ) -> np.ndarray:
-    """h of n trials of ``sample(spec, seed.stream(i), rng=...)``, i = 0..n-1."""
+    """h of n trials of ``sample(spec, rng)``, trial i drawn from stream ``seed.stream(i)``."""
     if n < 1:
         raise ValueError(f"need at least one trial, got {n}")
     seed.stream(n - 1)  # the last trial's stream index must fit in 64 bits
@@ -55,6 +55,6 @@ def h_samples(
     for first in range(0, n, chunk):
         m = min(chunk, n - first)
         for t in range(m):
-            stack[t] = as_matrix(sample(spec, seed.stream(first + t), rng=rng))
+            stack[t] = as_matrix(sample(spec, stream_rng(seed.stream(first + t), rng)))
         out[first : first + m] = _stacked_h(stack[:m])
     return out

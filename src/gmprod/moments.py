@@ -15,7 +15,7 @@ absolute constants are calibration inputs defaulting to 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import ChainSpec
@@ -184,48 +184,7 @@ def variance_single_exact(p: int, q: int) -> int:
     return 4 * p * q * (5 + 5 * p + 5 * q + 2 * p * p + 5 * p * q + 2 * q * q)
 
 
-@dataclass(frozen=True)
-class VarianceBoundState:
-    """State of the variance-bound recurrence for one chain prefix.
-
-    ``u`` bounds Var of the statistic, ``v`` bounds Var of the squared
-    trace, and ``p_term``/``q_term`` are the geometric forcing terms.
-    The c1..c4 constants and the kappa base multipliers are unpinned
-    absolute constants, configurable and defaulting to 1.
-    """
-
-    u: float
-    v: float
-    p_term: float
-    q_term: float
-    c1: float = 1.0
-    c2: float = 1.0
-    c3: float = 1.0
-    c4: float = 1.0
-    kappa_p: float = 1.0
-    kappa_q: float = 1.0
-
-    def __post_init__(self):
-        for name in ("u", "v", "p_term", "q_term"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
-        for name in ("c1", "c2", "c3", "c4", "kappa_p", "kappa_q"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"constant {name} must be positive")
-
-    def step(self, d: int) -> "VarianceBoundState":
-        """Advance the bound across one appended factor with inner dimension d."""
-        cross = math.sqrt(self.u * self.v)
-        return replace(
-            self,
-            u=self.c1 * self.p_term + 2 * self.u + self.v / d**2 + 3 * cross / d,
-            v=self.c2 * self.q_term + self.u / d**2 + self.v + 2 * cross / d,
-            p_term=self.c3 * self.p_term,
-            q_term=self.c4 * self.q_term,
-        )
-
-
-def initial_bound_state(
+def variance_bound_product(
     spec: ChainSpec,
     c1: float = 1.0,
     c2: float = 1.0,
@@ -233,40 +192,36 @@ def initial_bound_state(
     c4: float = 1.0,
     kappa_p: float = 1.0,
     kappa_q: float = 1.0,
-) -> VarianceBoundState:
-    """Base case of the recurrence, at the single-factor prefix.
+) -> float:
+    """Upper bound on Var of the statistic under the product ensemble.
 
-    The statistic's variance seed is the exact single-Gaussian value
-    (available, hence preferred over a loose order bound); the squared
-    trace and the forcing terms use their leading-order scales with the
-    kappa multipliers.
+    The recurrence carries ``u``, which bounds Var of the statistic, ``v``,
+    which bounds Var of the squared trace, and the geometric forcing terms
+    ``p_term`` and ``q_term`` across the chain prefixes. At the
+    single-factor prefix ``u`` is the exact single-Gaussian variance
+    (available, hence preferred over a loose order bound), and ``v`` and the
+    forcing terms use their leading-order scales with the kappa
+    multipliers. One step per inner dimension, in chain order, appends a
+    factor; the final ``u`` is returned. The c1..c4 constants and the kappa
+    base multipliers are unpinned absolute constants, defaulting to 1.
     """
     if spec.r < 2:
         raise ValueError("variance bound needs at least two factors")
+    constants = {"c1": c1, "c2": c2, "c3": c3, "c4": c4, "kappa_p": kappa_p, "kappa_q": kappa_q}
+    for name, value in constants.items():
+        if not value > 0:
+            raise ValueError(f"constant {name} must be positive")
     p, q, d1 = spec.p, spec.q, spec.d1
     norm = d1**4
-    return VarianceBoundState(
-        u=variance_single_exact(p, q) / norm,
-        v=kappa_q * p**3 * q**3 / norm,
-        p_term=kappa_p * (p**3 * q + p * q**3) / norm,
-        q_term=kappa_q * p**3 * q**3 / norm,
-        c1=c1,
-        c2=c2,
-        c3=c3,
-        c4=c4,
-        kappa_p=kappa_p,
-        kappa_q=kappa_q,
-    )
-
-
-def variance_bound_product(spec: ChainSpec, state0: VarianceBoundState | None = None) -> float:
-    """Upper bound on Var of the statistic under the product ensemble.
-
-    Starts from ``state0`` (default: ``initial_bound_state`` with all
-    constants 1) and applies one recurrence step per inner dimension, in
-    chain order. Returns the final ``u``.
-    """
-    state = initial_bound_state(spec) if state0 is None else state0
+    u = variance_single_exact(p, q) / norm
+    v = kappa_q * p**3 * q**3 / norm
+    p_term = kappa_p * (p**3 * q + p * q**3) / norm
+    q_term = kappa_q * p**3 * q**3 / norm
     for d in spec.inner:
-        state = state.step(d)
-    return state.u
+        cross = math.sqrt(u * v)
+        u, v = (
+            c1 * p_term + 2 * u + v / d**2 + 3 * cross / d,
+            c2 * q_term + u / d**2 + v + 2 * cross / d,
+        )
+        p_term, q_term = c3 * p_term, c4 * q_term
+    return u

@@ -1,8 +1,8 @@
-"""The distinguishing statistic h and its companion t."""
+"""The distinguishing statistic h."""
 
 from __future__ import annotations
 
-from .core import as_matrix, frobenius_sq
+from .core import as_matrix
 
 
 def stat_h(x) -> float:
@@ -19,8 +19,3 @@ def stat_h(x) -> float:
     g = side.T @ side
     return float((g * g).sum())
 
-
-def stat_t(x) -> float:
-    """tr(X^T X)^2, the squared trace of the Gram matrix."""
-    f = frobenius_sq(x)
-    return f * f

@@ -8,6 +8,14 @@ def random_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
+def philox_stream(seed) -> np.random.Generator:
+    """A new generator for ``seed``'s stream, as the determinism policy defines it:
+    Philox keyed by the master seed, counter block ``stream_index``."""
+    return np.random.Generator(
+        np.random.Philox(key=(seed.master_seed, 0), counter=(0, 0, seed.stream_index, 0))
+    )
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260809)

@@ -10,7 +10,6 @@ PUBLIC_API = [
     "SeedSpec",
     "TestPlan",
     "UComponents",
-    "VarianceBoundState",
     "WickBudget",
     "__version__",
     "base_gaussian_moments",
@@ -20,10 +19,7 @@ PUBLIC_API = [
     "closed_form_moments",
     "draw_h_samples",
     "empirical_power",
-    "frobenius_sq",
-    "gaussian_matrix",
     "h_samples",
-    "initial_bound_state",
     "layer_update",
     "mc_mean",
     "mc_variance",
@@ -35,7 +31,6 @@ PUBLIC_API = [
     "sample_product",
     "sample_single",
     "stat_h",
-    "stat_t",
     "stream_rng",
     "tv_lower_bound_empirical",
     "tv_upper_bound",

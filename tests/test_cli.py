@@ -1,15 +1,32 @@
+import contextlib
 import csv
+import io
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gmprod.cli import canonical_json, main
+
+MOMENTS_HEADER = [
+    "p", "q", "inner", "mean_product", "mean_asymptotic", "mean_single",
+    "var_single", "var_product_bound", "s1", "s2", "s3", "s4", "s5", "s6",
+]
+CONSTANTS = ["c", "c1", "c2", "c3", "c4", "kappa_p", "kappa_q"]
 
 
 def run_cli(args, capsys):
     code = main(args)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def assert_refused(code, out, err, status=2):
+    """The failure contract: the exit status, empty stdout, one ``gmprod:`` line on stderr."""
+    assert code == status and out == ""
+    assert err.startswith("gmprod:") and err.count("\n") == 1
 
 
 class TestMoments:
@@ -86,6 +103,21 @@ class TestMoments:
         )
         assert code == 2 and out == ""
         assert err.startswith(f"gmprod: {message}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("inner", ["0", "4,-3"])
+    def test_nonpositive_inner_rejected(self, inner, capsys):
+        code, out, err = run_cli(["moments", "--p", "2", "--q", "2", "--inner", inner], capsys)
+        assert_refused(code, out, err)
+        assert "inner" in err
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_nonfinite_output_rejected(self, fmt, capsys):
+        # kappa_q = 1e300 is finite, but it drives var_product_bound to inf
+        code, out, err = run_cli(
+            ["moments", "--p", "32", "--q", "32", "--inner", "64",
+             "--constants", "kappa_q=1e300", "--format", fmt], capsys
+        )
+        assert_refused(code, out, err)
 
     def test_canonical_json_refuses_nonfinite(self):
         with pytest.raises(ValueError):
@@ -269,3 +301,77 @@ class TestSeedHandling:
         out = capsys.readouterr()
         assert exc.value.code == 2 and out.out == ""
         assert out.err.startswith("gmprod:") and out.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["moments", "--p", "2", "--q", "2", "--inner", str(10**400)],
+        ["moments", "--p", str(10**400), "--q", "2", "--inner", "4"],
+        ["sweep", "--p", "2", "--q", "2", "--d-min", "4", "--d-max", str(10**80),
+         "--steps", "3", "--trials", "10"],
+    ],
+    ids=["inner", "p", "sweep-d-max"],
+)
+def test_dimension_too_large_for_a_float_rejected(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert_refused(code, out, err)
+
+
+def _refuse_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+def _finite_number(field: str) -> bool:
+    try:
+        int(field)
+        return True
+    except ValueError:
+        return math.isfinite(float(field))
+
+
+DIMENSION = st.one_of(st.integers(-2, 70), st.integers(1, 10**400))
+CONSTANT_VALUE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([1e300, 1.7976931348623157e308, 5e-324]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=DIMENSION,
+    q=DIMENSION,
+    inner=st.lists(DIMENSION, min_size=1, max_size=4),
+    closed=st.booleans(),
+    constants=st.dictionaries(st.sampled_from(CONSTANTS), CONSTANT_VALUE, max_size=3),
+    fmt=st.sampled_from(["json", "csv"]),
+)
+def test_moments_contract_holds_for_generated_argv(p, q, inner, closed, constants, fmt):
+    # moments draws no samples, so no generated size turns into an allocation
+    if closed:
+        inner[-1] = inner[0]
+    argv = ["moments", "--p", str(p), "--q", str(q), "--inner", ",".join(map(str, inner)),
+            "--format", fmt]
+    if constants:
+        argv += ["--constants", ",".join(f"{k}={v!r}" for k, v in constants.items())]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse errors
+            code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    assert code in {0, 2, 3}
+    if code != 0:
+        assert_refused(code, out, err, status=code)
+        return
+    assert err == ""
+    if fmt == "json":
+        report = json.loads(out, parse_constant=_refuse_constant)
+        assert sorted(report) == sorted([*MOMENTS_HEADER, "constants"])
+        assert sorted(report["constants"]) == sorted(CONSTANTS)
+    else:
+        header, row = csv.reader(io.StringIO(out))
+        assert header == MOMENTS_HEADER
+        assert all(_finite_number(field) for name, field in zip(header, row) if name != "inner")
+        assert all(int(d) >= 1 for d in row[header.index("inner")].split(";"))

@@ -1,18 +1,7 @@
 import numpy as np
 import pytest
 
-from gmprod.core import ChainSpec, as_matrix, frobenius_sq
-
-
-class TestFrobeniusSq:
-    def test_identity(self):
-        assert frobenius_sq(np.eye(2)) == 2.0
-
-    def test_row(self):
-        assert frobenius_sq([[3.0, 4.0]]) == 25.0
-
-    def test_zero(self):
-        assert frobenius_sq(np.zeros((3, 4))) == 0.0
+from gmprod.core import ChainSpec, as_matrix
 
 
 def test_as_matrix_rejects_bad_shapes():

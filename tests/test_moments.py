@@ -13,7 +13,6 @@ from gmprod.moments import (
     MomentVector,
     base_gaussian_moments,
     closed_form_moments,
-    initial_bound_state,
     layer_update,
     mean_h_asymptotic,
     mean_h_product,
@@ -171,32 +170,33 @@ class TestVarianceBound:
         assert out == pytest.approx(195 + 3 * math.sqrt(96), rel=1e-14)
 
     def test_seed_values(self):
-        state = initial_bound_state(ChainSpec(1, 1, (1,)))
-        assert (state.u, state.v, state.p_term, state.q_term) == (96.0, 1.0, 2.0, 1.0)
+        # at p = q = d = 1 the seed (u, v, p_term, q_term) is
+        # (96, kappa_q, 2 kappa_p, kappa_q); one step gives
+        # c1 p_term + 2u + v + 3 sqrt(u v), and c2..c4 act only later
+        out = variance_bound_product(ChainSpec(1, 1, (1,)), c1=5.0, c2=7.0, kappa_p=3.0, kappa_q=4.0)
+        assert out == pytest.approx(5 * 6 + 192 + 4 + 3 * math.sqrt(96 * 4), rel=1e-14)
 
     def test_monotone_in_constants(self):
         spec = ChainSpec(3, 2, (8, 8))
         base = variance_bound_product(spec)
         for name in ("c1", "c2", "c3", "c4"):
-            bumped = initial_bound_state(spec, **{name: 2.0})
-            assert variance_bound_product(spec, bumped) >= base
+            assert variance_bound_product(spec, **{name: 2.0}) >= base
 
     def test_nonpositive_constants_rejected(self):
         with pytest.raises(ValueError):
-            initial_bound_state(ChainSpec(2, 2, (4,)), c1=0.0)
+            variance_bound_product(ChainSpec(2, 2, (4,)), c1=0.0)
         with pytest.raises(ValueError):
-            initial_bound_state(ChainSpec(2, 2, (4,)), kappa_q=-1.0)
+            variance_bound_product(ChainSpec(2, 2, (4,)), kappa_q=-1.0)
 
     def test_single_factor_rejected(self):
         with pytest.raises(ValueError):
-            initial_bound_state(ChainSpec(2, 2))
+            variance_bound_product(ChainSpec(2, 2))
 
     def test_state_nondecreasing_under_steps(self):
-        state = initial_bound_state(ChainSpec(3, 4, (8, 8)))
-        for d in (8, 8):
-            nxt = state.step(d)
-            assert nxt.u >= state.u and nxt.v >= state.v
-            state = nxt
+        # the chain with k equal inner dimensions takes k steps from one seed,
+        # so its bound is the recurrence's u after k steps
+        bounds = [variance_bound_product(ChainSpec(3, 4, (8,) * k)) for k in range(1, 5)]
+        assert bounds == sorted(bounds)
 
     def test_growth_is_at_most_geometric(self):
         # bound / ((p^3 q + p q^3)/d1^4) should grow by a bounded factor
