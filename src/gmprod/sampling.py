@@ -4,7 +4,9 @@ Every trial owns an independent random stream identified by
 ``(master_seed, stream_index)``: Philox keyed by the master seed, with the
 stream index selecting a disjoint counter block, so a stream is a pure
 function of the seed pair and trials can run concurrently in any order
-without changing aggregate results. ``stream_rng(seed, rng)`` is the one
+without changing aggregate results; the trial engine draws trials on
+several threads this way, each thread with a generator of its own.
+``stream_rng(seed, rng)`` is the one
 place a ``SeedSpec`` becomes a stream: it resets a Philox generator to the
 state a new one for that stream starts in. The samplers draw from the
 generator they are handed. Normal variates come from numpy's ziggurat
@@ -94,8 +96,7 @@ def sample_product(spec: ChainSpec, rng: np.random.Generator) -> Matrix:
     d1 = spec.inner[0]
     out = None
     for i in range(r):
-        g = rng.standard_normal((dims[i], dims[i + 1]))
-        scale = 1.0 / math.sqrt(d1 if i == r - 1 else dims[i + 1])
-        w = scale * g
+        w = rng.standard_normal((dims[i], dims[i + 1]))
+        w *= 1.0 / math.sqrt(d1 if i == r - 1 else dims[i + 1])  # in place: no second copy
         out = w if out is None else out @ w
     return out

@@ -14,6 +14,11 @@ MOMENTS_HEADER = [
     "p", "q", "inner", "mean_product", "mean_asymptotic", "mean_single",
     "var_single", "var_product_bound", "s1", "s2", "s3", "s4", "s5", "s6",
 ]
+DISTINGUISH_HEADER = [
+    "p", "q", "inner", "trials", "seed", "threshold", "mu_single", "mu_product",
+    "accuracy", "false_positive_rate", "false_negative_rate", "chebyshev_error_bound",
+]
+SWEEP_HEADER = ["d", "accuracy", "tv_lower_empirical", "tv_upper_c1", "chebyshev_error", "mean_gap"]
 CONSTANTS = ["c", "c1", "c2", "c3", "c4", "kappa_p", "kappa_q"]
 
 
@@ -318,6 +323,51 @@ def test_dimension_too_large_for_a_float_rejected(argv, capsys):
     assert_refused(code, out, err)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # row d = 2e10 of this grid once asked numpy for 298 GiB
+        ["sweep", "--p", "2", "--q", "2", "--d-min", "4", "--d-max", str(10**20),
+         "--steps", "3", "--trials", "10"],
+        # 2 * 2**25 + 2**25 * 2 = 2**27 normals per trial
+        ["distinguish", "--p", "2", "--q", "2", "--inner", str(2**25), "--trials", "10"],
+    ],
+    ids=["sweep", "distinguish"],
+)
+def test_trial_above_the_size_limit_rejected(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert_refused(code, out, err)
+    assert "limit" in err
+
+
+def run_generated(argv):
+    """stdout of ``main(argv)`` if it succeeded, else None once the failure contract holds.
+
+    The exit status is 0, 2 or 3; a failure leaves stdout empty and one
+    ``gmprod:`` line on stderr, and a success leaves stderr empty.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse errors
+            code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    assert code in {0, 2, 3}
+    if code != 0:
+        assert_refused(code, out, err, status=code)
+        return None
+    assert err == ""
+    return out
+
+
+def assert_finite_csv(header, rows):
+    """Every field but ``inner`` of every row is a finite number."""
+    for row in rows:
+        assert len(row) == len(header)
+        assert all(_finite_number(field) for name, field in zip(header, row) if name != "inner")
+
+
 def _refuse_constant(name):
     raise ValueError(f"not strict JSON: {name}")
 
@@ -354,18 +404,9 @@ def test_moments_contract_holds_for_generated_argv(p, q, inner, closed, constant
             "--format", fmt]
     if constants:
         argv += ["--constants", ",".join(f"{k}={v!r}" for k, v in constants.items())]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse errors
-            code = exc.code
-    out, err = out.getvalue(), err.getvalue()
-    assert code in {0, 2, 3}
-    if code != 0:
-        assert_refused(code, out, err, status=code)
+    out = run_generated(argv)
+    if out is None:
         return
-    assert err == ""
     if fmt == "json":
         report = json.loads(out, parse_constant=_refuse_constant)
         assert sorted(report) == sorted([*MOMENTS_HEADER, "constants"])
@@ -373,5 +414,74 @@ def test_moments_contract_holds_for_generated_argv(p, q, inner, closed, constant
     else:
         header, row = csv.reader(io.StringIO(out))
         assert header == MOMENTS_HEADER
-        assert all(_finite_number(field) for name, field in zip(header, row) if name != "inner")
+        assert_finite_csv(header, [row])
         assert all(int(d) >= 1 for d in row[header.index("inner")].split(";"))
+
+
+# Draws are only generated small or far above the engine's limit of 2**26
+# values per trial, which refuses them before drawing anything. 300 puts
+# an 8 x 8 chain on the threaded path. The other options stay within
+# their checks (the tests above cover those), so that many examples run.
+SAMPLED_DIMENSION = st.one_of(st.integers(1, 8), st.just(300), st.integers(2**26 + 1, 10**30))
+SEED = st.integers(0, 2**64 - 1)
+TRIALS = st.integers(10, 30)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    p=SAMPLED_DIMENSION,
+    q=SAMPLED_DIMENSION,
+    inner=st.lists(SAMPLED_DIMENSION, min_size=1, max_size=3),
+    closed=st.booleans(),
+    trials=TRIALS,
+    seed=SEED,
+    fmt=st.sampled_from(["json", "csv"]),
+    strict=st.booleans(),
+)
+def test_distinguish_contract_holds_for_generated_argv(p, q, inner, closed, trials, seed, fmt, strict):
+    if closed and inner:
+        inner[-1] = inner[0]
+    argv = ["distinguish", "--p", str(p), "--q", str(q), "--inner", ",".join(map(str, inner)),
+            "--trials", str(trials), "--seed", str(seed), "--format", fmt]
+    out = run_generated(argv + ["--strict-dims"] * strict)
+    if out is None:
+        return
+    if fmt == "json":
+        report = json.loads(out, parse_constant=_refuse_constant)
+        assert sorted(report) == sorted([*DISTINGUISH_HEADER, "constants"])
+    else:
+        header, row = csv.reader(io.StringIO(out))
+        assert header == DISTINGUISH_HEADER
+        assert_finite_csv(header, [row])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    p=SAMPLED_DIMENSION,
+    q=SAMPLED_DIMENSION,
+    r=st.integers(2, 4),
+    d_min=st.integers(1, 16),
+    # from d-min <= 16 to d-max >= 10**30 in at most four steps, every
+    # point after the first is above 10**9
+    d_max=st.one_of(st.integers(1, 64), st.integers(10**30, 10**60)),
+    steps=st.integers(2, 4),
+    trials=TRIALS,
+    seed=SEED,
+    fmt=st.sampled_from(["csv", "json"]),
+)
+def test_sweep_contract_holds_for_generated_argv(p, q, r, d_min, d_max, steps, trials, seed, fmt):
+    argv = ["sweep", "--p", str(p), "--q", str(q), "--r", str(r), "--d-min", str(d_min),
+            "--d-max", str(d_max), "--steps", str(steps), "--trials", str(trials),
+            "--seed", str(seed), "--format", fmt]
+    out = run_generated(argv)
+    if out is None:
+        return
+    if fmt == "json":
+        report = json.loads(out, parse_constant=_refuse_constant)
+        assert sorted(report) == ["constants", "p", "q", "r", "rows", "seed", "trials"]
+        assert len(report["rows"]) == steps
+        assert all(sorted(row) == sorted(SWEEP_HEADER) for row in report["rows"])
+    else:
+        header, *rows = csv.reader(io.StringIO(out))
+        assert header == SWEEP_HEADER and len(rows) == steps
+        assert_finite_csv(header, rows)

@@ -1,3 +1,7 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -89,6 +93,141 @@ def test_one_philox_built_per_call(monkeypatch):
     assert made[0].state["state"]["counter"][2] == 29
     monkeypatch.undo()
     assert np.array_equal(got, scalar_h("product", spec, 30, seed))
+
+
+# Chains on the threaded path: (4, 4, (512,)) draws 2**12 normals per
+# trial, the least that goes parallel; the others draw more, one of them
+# through a closed three-factor chain.
+THREADED = [ChainSpec(4, 4, (512,)), ChainSpec(3, 5, (64, 48, 64)), ChainSpec(8, 8, (2048,))]
+
+
+def recording(sample, seen):
+    """``sample``, adding each thread that calls it to ``seen``."""
+
+    def recorded(spec, rng):
+        seen.add(threading.current_thread())
+        return sample(spec, rng)
+
+    return recorded
+
+
+@pytest.fixture
+def three_workers(monkeypatch):
+    """Three workers whatever the machine, and thread switches as often as
+    the interpreter allows; yields a function that sets the trials per chunk."""
+    monkeypatch.setattr(engine, "_cpu_count", lambda: 3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield lambda spec, trials: monkeypatch.setattr(engine, "_CHUNK_ENTRIES", trials * spec.p * spec.q)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class TestThreads:
+    @pytest.mark.parametrize("ensemble", ENSEMBLES)
+    @pytest.mark.parametrize("spec", THREADED, ids=str)
+    def test_matches_scalar_path(self, three_workers, spec, ensemble):
+        # n = 13 in chunks of 5 leaves a partial chunk of 3, and neither
+        # 13 nor 5 splits evenly over three workers
+        three_workers(spec, 5)
+        seen = set()
+        seed, threads = SeedSpec(20261018, 9), threading.active_count()
+        got = h_samples(recording(SAMPLERS[ensemble], seen), spec, 13, seed)
+        # the calling thread and two new ones for each of the three chunks
+        assert threading.main_thread() in seen and len(seen) == 7
+        assert threading.active_count() == threads
+        assert np.array_equal(got, scalar_h(ensemble, spec, 13, seed))
+
+    @pytest.mark.parametrize(
+        "spec, threaded",
+        [(ChainSpec(4, 4, (512,)), True), (ChainSpec(4, 4, (511,)), False), (ChainSpec(2, 2, (4,)), False)],
+        ids=str,
+    )
+    def test_threading_rule(self, three_workers, spec, threaded):
+        # parallel from 2**12 normals per trial of the chain, for either ensemble
+        three_workers(spec, 6)
+        for sample in SAMPLERS.values():
+            seen = set()
+            h_samples(recording(sample, seen), spec, 6, SeedSpec(1))
+            assert threading.main_thread() in seen
+            assert len(seen) == (3 if threaded else 1)
+
+    def test_workers_never_exceed_trials(self, three_workers):
+        spec = ChainSpec(4, 4, (512,))
+        three_workers(spec, 5)
+        seen = set()
+        h_samples(recording(sample_product, seen), spec, 2, SeedSpec(1))
+        assert len(seen) == 2
+
+    @pytest.mark.parametrize("failure", ["raise", "inf"])
+    @pytest.mark.parametrize("failing", [(4, 7), (1, 4, 7)], ids=str)
+    def test_lowest_failing_trial_is_raised(self, three_workers, failing, failure):
+        # nine trials on three workers: blocks 0-2 (the calling thread),
+        # 3-5 and 6-8; the lowest failing trial fails last
+        spec = ChainSpec(4, 4, (512,))
+        three_workers(spec, 9)
+
+        def sample(spec, rng):
+            trial = int(rng.bit_generator.state["state"]["counter"][2])
+            x = sample_product(spec, rng)
+            if trial in failing:
+                if trial == failing[0]:
+                    time.sleep(0.05)
+                if failure == "raise":
+                    raise ValueError(f"trial {trial} failed")
+                x[0, 0] = np.inf
+            return x
+
+        threads = threading.active_count()
+        match = f"trial {failing[0]} failed" if failure == "raise" else "finite"
+        with pytest.raises(ValueError, match=match):
+            h_samples(sample, spec, 9, SeedSpec(0))
+        assert threading.active_count() == threads
+
+    def test_workers_joined_when_the_calling_thread_fails(self, three_workers):
+        # trial 0 fails at once on the calling thread while the other two
+        # workers are still drawing
+        spec = ChainSpec(4, 4, (512,))
+        three_workers(spec, 9)
+        finished = []
+
+        def sample(spec, rng):
+            trial = int(rng.bit_generator.state["state"]["counter"][2])
+            if trial == 0:
+                raise ValueError("trial 0 failed")
+            time.sleep(0.02)
+            finished.append(trial)
+            return sample_product(spec, rng)
+
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match="trial 0 failed"):
+            h_samples(sample, spec, 9, SeedSpec(0))
+        assert threading.active_count() == threads
+        assert sorted(finished) == [3, 4, 5, 6, 7, 8]
+
+
+class TestSizeCap:
+    @pytest.mark.parametrize(
+        "spec",
+        [ChainSpec(2, 2, (2**25,)), ChainSpec(2**13, 2**13 + 1, (1,))],
+        ids=["chain", "matrix"],
+    )
+    def test_refused_before_any_draw(self, spec):
+        seen = set()
+        for sample in SAMPLERS.values():
+            with pytest.raises(ValueError, match="limit"):
+                h_samples(recording(sample, seen), spec, 3, SeedSpec(0))
+        assert not seen
+
+    def test_boundary(self, monkeypatch):
+        # (2, 2, (4,)) draws 16 normals: a cap of 16 lets it through, 15 does not
+        spec, seed = ChainSpec(2, 2, (4,)), SeedSpec(2)
+        monkeypatch.setattr(engine, "_MAX_TRIAL_NORMALS", 16)
+        assert np.array_equal(batch_h("product", spec, 3, seed), scalar_h("product", spec, 3, seed))
+        monkeypatch.setattr(engine, "_MAX_TRIAL_NORMALS", 15)
+        with pytest.raises(ValueError, match="limit"):
+            batch_h("product", spec, 3, seed)
 
 
 class TestChecks:

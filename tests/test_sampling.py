@@ -114,6 +114,33 @@ class TestSampleProduct:
         out = sample_product(spec, philox_stream(seed))
         assert np.allclose(out, expected, rtol=1e-15, atol=0)
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ChainSpec(1, 1, (1,)),
+            ChainSpec(2, 2, (4,)),
+            ChainSpec(5, 2, (3,)),
+            ChainSpec(3, 5, (7, 2, 7)),
+            ChainSpec(8, 8, (2048,)),
+            ChainSpec(2, 3, (6, 6)),
+        ],
+        ids=str,
+    )
+    def test_bit_exact_reference(self, spec):
+        # the sampler's arithmetic, rebuilt from the policy's stream: factor
+        # i is (1/sqrt(d_i)) * g_i (the last one 1/sqrt(d1)), multiplied
+        # left to right; the single ensemble is (1/sqrt(d1)) * g
+        seed = SeedSpec(31, 4)
+        rng = philox_stream(seed)
+        dims = (spec.p, *spec.inner, spec.q)
+        scales = [1 / np.sqrt(d) for d in (*spec.inner, spec.inner[0])]
+        expected = scales[0] * rng.standard_normal(dims[:2])
+        for i in range(1, spec.r):
+            expected = expected @ (scales[i] * rng.standard_normal(dims[i : i + 2]))
+        assert np.array_equal(sample_product(spec, philox_stream(seed)), expected)
+        single = scales[0] * philox_stream(seed).standard_normal((spec.p, spec.q))
+        assert np.array_equal(sample_single(spec, philox_stream(seed)), single)
+
     def test_structural_violation_rejected(self):
         with pytest.raises(ValueError):
             sample_product(ChainSpec(2, 2, (4, 5)), philox_stream(SeedSpec(0)))
