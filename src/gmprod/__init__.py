@@ -25,7 +25,7 @@ from .moments import (
     mean_h_product_exact,
     mean_h_single,
     u_components_gaussian,
-    variance_bound_product,
+    var_h_product_exact,
     variance_from_components,
     variance_single_exact,
 )
@@ -64,7 +64,7 @@ __all__ = [
     "u_components_gaussian",
     "variance_from_components",
     "variance_single_exact",
-    "variance_bound_product",
+    "var_h_product_exact",
     "WickBudget",
     "CIEstimate",
     "OracleBudgetError",

@@ -41,11 +41,11 @@ from .moments import (
 from .oracle import OracleBudgetError, WickBudget, wick_exact_mean_h, wick_exact_var_h_single
 from .sampling import SeedSpec
 
-CONSTANT_NAMES = ("c", "c1", "c2", "c3", "c4", "kappa_p", "kappa_q")
+CONSTANT_NAMES = ("c",)
 
 MOMENTS_CSV_HEADER = [
     "p", "q", "inner", "mean_product", "mean_asymptotic", "mean_single",
-    "var_single", "var_product_bound", "s1", "s2", "s3", "s4", "s5", "s6",
+    "var_single", "var_product", "s1", "s2", "s3", "s4", "s5", "s6",
 ]
 DISTINGUISH_CSV_HEADER = [
     "p", "q", "inner", "trials", "seed", "threshold", "mu_single", "mu_product",
@@ -136,10 +136,6 @@ def _spec_from(args) -> ChainSpec:
     return spec
 
 
-def _bound_kwargs(constants: dict[str, float]) -> dict[str, float]:
-    return {k: v for k, v in constants.items() if k != "c"}
-
-
 def _frac_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
@@ -149,7 +145,7 @@ def cmd_moments(args):
     if spec.r < 2:
         raise ValueError("moments requires at least one inner dimension")
     constants = _parse_constants(args.constants)
-    plan = build_test(spec, **_bound_kwargs(constants))
+    plan = build_test(spec)
     s = closed_form_moments(spec.inner)
     report = {
         "p": spec.p,
@@ -159,7 +155,7 @@ def cmd_moments(args):
         "mean_asymptotic": mean_h_asymptotic(spec),
         "mean_single": plan.mu_single,
         "var_single": plan.var_single,
-        "var_product_bound": plan.var_product_bound,
+        "var_product": plan.var_product,
         "s1": s.s1, "s2": s.s2, "s3": s.s3, "s4": s.s4, "s5": s.s5, "s6": s.s6,
         "constants": constants,
     }
@@ -173,7 +169,7 @@ def cmd_distinguish(args):
     if args.trials < 10:
         raise ValueError("distinguish requires at least 10 trials per ensemble")
     constants = _parse_constants(args.constants)
-    plan = build_test(spec, **_bound_kwargs(constants))
+    plan = build_test(spec)
     report_values = empirical_power(spec, args.trials, SeedSpec(args.seed), plan)
     report = {
         "p": spec.p,
@@ -205,7 +201,6 @@ def cmd_sweep(args):
     if args.trials < 10:
         raise ValueError("sweep requires at least 10 trials per ensemble")
     constants = _parse_constants(args.constants)
-    bound_kwargs = _bound_kwargs(constants)
     # through float: numpy cannot take the log of an int above 2**64
     grid = [int(round(d)) for d in np.geomspace(float(args.d_min), float(args.d_max), args.steps)]
     if len(set(grid)) < len(grid):
@@ -217,7 +212,7 @@ def cmd_sweep(args):
     for k, d in enumerate(grid):
         spec = ChainSpec(args.p, args.q, (d,) * (args.r - 1))
         spec.validate(strict=args.strict_dims)
-        plan = build_test(spec, **bound_kwargs)
+        plan = build_test(spec)
         row_seed = SeedSpec(args.seed, k * 2 * args.trials)
         h_product, h_single = draw_h_samples(spec, args.trials, row_seed)
         power = power_from_samples(h_product, h_single, plan)
@@ -285,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="master seed (default: GMPROD_SEED env var, else 0)")
         p.add_argument("--constants", default="",
-                       help="comma-separated name=value overrides for c,c1..c4,kappa_p,kappa_q (default all 1)")
+                       help="name=value override for c, the TV upper bound multiplier (default 1)")
         p.add_argument("--format", choices=formats, default=formats[0], help="output format")
         p.add_argument("--out", default=None, help="write output to this path instead of stdout")
         p.add_argument("--strict-dims", action="store_true",

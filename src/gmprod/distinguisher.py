@@ -17,12 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ChainSpec
-from .moments import (
-    mean_h_product,
-    mean_h_single,
-    variance_bound_product,
-    variance_single_exact,
-)
+from .moments import mean_h_product, mean_h_single, var_h_product_exact, variance_single_exact
 from .engine import h_samples
 from .sampling import SeedSpec, sample_product, sample_single
 
@@ -38,7 +33,7 @@ class TestPlan:
     mu_product: float
     threshold: float
     var_single: float
-    var_product_bound: float
+    var_product: float
 
 
 @dataclass(frozen=True)
@@ -50,12 +45,8 @@ class PowerReport:
     chebyshev_error_bound: float
 
 
-def build_test(spec: ChainSpec, **constants) -> TestPlan:
-    """Test plan for a chain: analytic means, midpoint threshold, variances.
-
-    Keyword ``constants`` (c1..c4, kappa_p, kappa_q) feed the variance
-    bound recurrence and default to 1.
-    """
+def build_test(spec: ChainSpec) -> TestPlan:
+    """Test plan for a chain: exact means, midpoint threshold, exact variances."""
     spec.validate()
     if spec.r < 2:
         raise ValueError("test construction needs at least two factors")
@@ -67,7 +58,7 @@ def build_test(spec: ChainSpec, **constants) -> TestPlan:
         mu_product=mu_product,
         threshold=(mu_single + mu_product) / 2.0,
         var_single=variance_single_exact(spec.p, spec.q) / spec.d1**4,
-        var_product_bound=variance_bound_product(spec, **constants),
+        var_product=float(var_h_product_exact(spec)),
     )
 
 
@@ -82,13 +73,14 @@ def classify(h_values, plan: TestPlan) -> np.ndarray:
 def chebyshev_error(plan: TestPlan) -> float:
     """Per-hypothesis misclassification bound for the midpoint threshold.
 
-    Chebyshev at half the mean gap: max variance over (gap/2)^2, clamped
-    to 1. A nonpositive gap carries no guarantee and returns 1.
+    Chebyshev at half the mean gap: the larger exact variance over
+    (gap/2)^2, clamped to 1. A nonpositive gap carries no guarantee and
+    returns 1.
     """
     gap = plan.mu_product - plan.mu_single
     if gap <= 0:
         return 1.0
-    worst = max(plan.var_single, plan.var_product_bound)
+    worst = max(plan.var_single, plan.var_product)
     return min(1.0, worst / (gap / 2.0) ** 2)
 
 

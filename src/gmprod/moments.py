@@ -7,9 +7,9 @@ recursion and closed forms for the whole chain. All recursion arithmetic
 is generic over Python numbers: integer inputs stay exact (Python ints
 never overflow), float inputs run in double precision for large sweeps.
 
-Variances are exact for a single Gaussian factor; for longer chains only
-an upper bound is available, computed by a four-term recurrence whose
-absolute constants are calibration inputs defaulting to 1.
+The variance is exact for every chain: each Gram matrix of the chain is
+Wishart given the factors before it, so a committed table of Wishart
+trace moments, applied once per factor, gives E[h^2] as an exact integer.
 """
 
 from __future__ import annotations
@@ -80,6 +80,11 @@ def closed_form_moments(inner) -> MomentVector:
     return MomentVector(3 * s4, 3 * s4, s4, s4, s4 - 2 * s6, s6)
 
 
+def _normalizer(spec: ChainSpec) -> int:
+    """The sampler's scaling of h: prod d_k^2 * d_1^2, or 1 for one factor."""
+    return math.prod(d * d for d in spec.inner) * (spec.inner[0] ** 2 if spec.inner else 1)
+
+
 def mean_h_product_exact(spec: ChainSpec) -> Fraction:
     """Exact E[tr((A^T A)^2)] for the normalized product chain, as a rational.
 
@@ -94,10 +99,7 @@ def mean_h_product_exact(spec: ChainSpec) -> Fraction:
     numerator = spec.p * spec.q * (spec.p + spec.q + 1) * m.s3 + spec.p * spec.q * (
         spec.p - 1
     ) * (spec.q - 1) * m.s6
-    if not spec.inner:
-        return Fraction(numerator)
-    denominator = math.prod(d * d for d in spec.inner) * spec.inner[0] ** 2
-    return Fraction(numerator, denominator)
+    return Fraction(numerator, _normalizer(spec))
 
 
 def mean_h_product(spec: ChainSpec) -> float:
@@ -184,44 +186,50 @@ def variance_single_exact(p: int, q: int) -> int:
     return 4 * p * q * (5 + 5 * p + 5 * q + 2 * p * p + 5 * p * q + 2 * q * q)
 
 
-def variance_bound_product(
-    spec: ChainSpec,
-    c1: float = 1.0,
-    c2: float = 1.0,
-    c3: float = 1.0,
-    c4: float = 1.0,
-    kappa_p: float = 1.0,
-    kappa_q: float = 1.0,
-) -> float:
-    """Upper bound on Var of the statistic under the product ensemble.
+# E p_lam(W) = sum_mu c_{lam mu}(n) p_mu(Sigma) for W ~ Wishart_p(n, Sigma),
+# where p_lam(W) = prod_i tr(W^lam_i) (Letac & Massam, Scand. J. Stat. 2004).
+# Each c_{lam mu}(n) is listed by its coefficients in ascending powers of n;
+# the rows cover |lam| = 2 and 4.
+WISHART_TRACE_MOMENTS = {
+    (2,): {(2,): (0, 1, 1), (1, 1): (0, 1)},
+    (1, 1): {(2,): (0, 2), (1, 1): (0, 0, 1)},
+    (4,): {(4,): (0, 20, 21, 6, 1), (3, 1): (0, 16, 12, 4), (2, 2): (0, 5, 5, 2),
+           (2, 1, 1): (0, 6, 6), (1, 1, 1, 1): (0, 1)},
+    (3, 1): {(4,): (0, 24, 18, 6), (3, 1): (0, 12, 16, 3, 1), (2, 2): (0, 6, 6),
+             (2, 1, 1): (0, 6, 3, 3), (1, 1, 1, 1): (0, 0, 1)},
+    (2, 2): {(4,): (0, 20, 20, 8), (3, 1): (0, 16, 16), (2, 2): (0, 4, 5, 2, 1),
+             (2, 1, 1): (0, 8, 2, 2), (1, 1, 1, 1): (0, 0, 1)},
+    (2, 1, 1): {(4,): (0, 24, 24), (3, 1): (0, 16, 8, 8), (2, 2): (0, 8, 2, 2),
+                (2, 1, 1): (0, 0, 10, 1, 1), (1, 1, 1, 1): (0, 0, 0, 1)},
+    (1, 1, 1, 1): {(4,): (0, 48), (3, 1): (0, 0, 32), (2, 2): (0, 0, 12),
+                   (2, 1, 1): (0, 0, 0, 12), (1, 1, 1, 1): (0, 0, 0, 0, 1)},
+}
 
-    The recurrence carries ``u``, which bounds Var of the statistic, ``v``,
-    which bounds Var of the squared trace, and the geometric forcing terms
-    ``p_term`` and ``q_term`` across the chain prefixes. At the
-    single-factor prefix ``u`` is the exact single-Gaussian variance
-    (available, hence preferred over a loose order bound), and ``v`` and the
-    forcing terms use their leading-order scales with the kappa
-    multipliers. One step per inner dimension, in chain order, appends a
-    factor; the final ``u`` is returned. The c1..c4 constants and the kappa
-    base multipliers are unpinned absolute constants, defaulting to 1.
+
+def _trace_moment(spec: ChainSpec, lam: tuple[int, ...]) -> int:
+    """E p_lam(A A^T) for the unnormalized chain A, an exact integer.
+
+    With Sigma_k the Gram matrix of the first k factors (Sigma_0 = I_p),
+    Sigma_k ~ Wishart_p(n_k, Sigma_{k-1}) where n_k is the column count of
+    factor k, and A A^T = Sigma_r. So the table is applied with n = q
+    first, then d_{r-1}, ..., d_1, and evaluated at p_mu(I_p) = p^len(mu).
     """
-    if spec.r < 2:
-        raise ValueError("variance bound needs at least two factors")
-    constants = {"c1": c1, "c2": c2, "c3": c3, "c4": c4, "kappa_p": kappa_p, "kappa_q": kappa_q}
-    for name, value in constants.items():
-        if not value > 0:
-            raise ValueError(f"constant {name} must be positive")
-    p, q, d1 = spec.p, spec.q, spec.d1
-    norm = d1**4
-    u = variance_single_exact(p, q) / norm
-    v = kappa_q * p**3 * q**3 / norm
-    p_term = kappa_p * (p**3 * q + p * q**3) / norm
-    q_term = kappa_q * p**3 * q**3 / norm
-    for d in spec.inner:
-        cross = math.sqrt(u * v)
-        u, v = (
-            c1 * p_term + 2 * u + v / d**2 + 3 * cross / d,
-            c2 * q_term + u / d**2 + v + 2 * cross / d,
-        )
-        p_term, q_term = c3 * p_term, c4 * q_term
-    return u
+    weights = {lam: 1}
+    for n in (spec.q, *reversed(spec.inner)):
+        step = {}
+        for row, weight in weights.items():
+            for mu, coeffs in WISHART_TRACE_MOMENTS[row].items():
+                step[mu] = step.get(mu, 0) + weight * sum(c * n**i for i, c in enumerate(coeffs))
+        weights = step
+    return sum(weight * spec.p ** len(mu) for mu, weight in weights.items())
+
+
+def var_h_product_exact(spec: ChainSpec) -> Fraction:
+    """Exact Var of the statistic for the normalized product chain, as a rational.
+
+    E[h^2] = E p_(2,2) and E[h] = E p_(2) of the Gram matrix, scaled by the
+    same normalizer as ``mean_h_product_exact``. With an empty chain the
+    value is for the unnormalized Gaussian, ``variance_single_exact(p, q)``.
+    """
+    mean = _trace_moment(spec, (2,))
+    return Fraction(_trace_moment(spec, (2, 2)) - mean * mean, _normalizer(spec) ** 2)

@@ -35,7 +35,7 @@ PUBLIC_API = [
     "tv_lower_bound_empirical",
     "tv_upper_bound",
     "u_components_gaussian",
-    "variance_bound_product",
+    "var_h_product_exact",
     "variance_from_components",
     "variance_single_exact",
     "wick_exact_mean_h",

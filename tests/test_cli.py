@@ -8,18 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gmprod.cli import canonical_json, main
+from gmprod.cli import _csv_text, canonical_json, main
 
 MOMENTS_HEADER = [
     "p", "q", "inner", "mean_product", "mean_asymptotic", "mean_single",
-    "var_single", "var_product_bound", "s1", "s2", "s3", "s4", "s5", "s6",
+    "var_single", "var_product", "s1", "s2", "s3", "s4", "s5", "s6",
 ]
 DISTINGUISH_HEADER = [
     "p", "q", "inner", "trials", "seed", "threshold", "mu_single", "mu_product",
     "accuracy", "false_positive_rate", "false_negative_rate", "chebyshev_error_bound",
 ]
 SWEEP_HEADER = ["d", "accuracy", "tv_lower_empirical", "tv_upper_c1", "chebyshev_error", "mean_gap"]
-CONSTANTS = ["c", "c1", "c2", "c3", "c4", "kappa_p", "kappa_q"]
+CONSTANTS = ["c"]
 
 
 def run_cli(args, capsys):
@@ -87,19 +87,26 @@ class TestMoments:
         )
         assert code == 2
 
+    def test_only_c_is_a_constant(self, capsys):
+        code, out, err = run_cli(
+            ["moments", "--p", "2", "--q", "2", "--inner", "4", "--constants", "c1=2"], capsys
+        )
+        assert_refused(code, out, err)
+        assert "c1" in err
+
     @pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
     def test_nonfinite_constant_rejected(self, value, capsys):
         code, out, err = run_cli(
-            ["moments", "--p", "2", "--q", "2", "--inner", "4", "--constants", f"c1={value}"],
+            ["moments", "--p", "2", "--q", "2", "--inner", "4", "--constants", f"c={value}"],
             capsys,
         )
         assert code == 2 and out == ""
-        assert err.startswith("gmprod:") and "c1" in err
+        assert err.startswith("gmprod: constant c ")
 
     @pytest.mark.parametrize(
         "text, message",
-        [("c1=2,c1=3", "constant c1 is given more than once"),
-         ("c1=abc", "constant c1 must be a number")],
+        [("c=2,c=3", "constant c is given more than once"),
+         ("c=abc", "constant c must be a number")],
         ids=["repeated", "non-numeric"],
     )
     def test_malformed_constant_rejected(self, text, message, capsys):
@@ -117,16 +124,20 @@ class TestMoments:
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_nonfinite_output_rejected(self, fmt, capsys):
-        # kappa_q = 1e300 is finite, but it drives var_product_bound to inf
+        # the means fit a float, but var_product (about 10**351) does not
+        big = str(10**50)
         code, out, err = run_cli(
-            ["moments", "--p", "32", "--q", "32", "--inner", "64",
-             "--constants", "kappa_q=1e300", "--format", fmt], capsys
+            ["moments", "--p", big, "--q", big, "--inner", "1", "--format", fmt], capsys
         )
         assert_refused(code, out, err)
 
     def test_canonical_json_refuses_nonfinite(self):
         with pytest.raises(ValueError):
             canonical_json({"x": float("inf")})
+
+    def test_csv_text_refuses_nonfinite(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            _csv_text(["x", "inner"], [{"x": float("inf"), "inner": [4]}])
 
     def test_unwritable_out_path(self, tmp_path, capsys):
         target = tmp_path / "missing" / "x.json"
@@ -485,3 +496,30 @@ def test_sweep_contract_holds_for_generated_argv(p, q, r, d_min, d_max, steps, t
         header, *rows = csv.reader(io.StringIO(out))
         assert header == SWEEP_HEADER and len(rows) == steps
         assert_finite_csv(header, rows)
+
+
+ORACLE_KEYS = ["closed_form_mean", "equal_mean", "inner", "max_monomials", "p", "q", "wick_mean"]
+ORACLE_VARIANCE_KEYS = ["closed_form_variance", "equal_variance", "wick_variance"]
+# Tiny dimensions enumerate in milliseconds; the large ones are over any
+# budget up to the default, so the oracle refuses them before enumerating.
+ORACLE_DIMENSION = st.one_of(st.integers(1, 3), st.integers(10**4, 10**30))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    p=ORACLE_DIMENSION,
+    q=ORACLE_DIMENSION,
+    inner=st.lists(ORACLE_DIMENSION, max_size=2),
+    max_monomials=st.integers(1, 10_000_000),
+    fmt=st.sampled_from(["json", "csv"]),
+)
+def test_oracle_contract_holds_for_generated_argv(p, q, inner, max_monomials, fmt):
+    argv = ["oracle", "--p", str(p), "--q", str(q), "--inner", ",".join(map(str, inner)),
+            "--max-monomials", str(max_monomials), "--format", fmt]
+    out = run_generated(argv)
+    if out is None:
+        return
+    report = json.loads(out, parse_constant=_refuse_constant)
+    expected = ORACLE_KEYS + (ORACLE_VARIANCE_KEYS if not inner else [])
+    assert sorted(report) == sorted(expected)
+    assert report["equal_mean"] is True and report.get("equal_variance", True) is True

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -10,7 +11,9 @@ from hypothesis import strategies as st
 from gmprod.core import ChainSpec
 from gmprod.engine import h_samples
 from gmprod.moments import (
+    WISHART_TRACE_MOMENTS,
     MomentVector,
+    _trace_moment,
     base_gaussian_moments,
     closed_form_moments,
     layer_update,
@@ -19,11 +22,11 @@ from gmprod.moments import (
     mean_h_product_exact,
     mean_h_single,
     u_components_gaussian,
-    variance_bound_product,
+    var_h_product_exact,
     variance_from_components,
     variance_single_exact,
 )
-from gmprod.oracle import mc_mean, mc_variance
+from gmprod.oracle import _moment_of_tally, mc_mean, mc_variance, wick_exact_mean_h
 from gmprod.sampling import SeedSpec, sample_product, sample_single
 
 
@@ -163,59 +166,117 @@ class TestVarianceSingle:
                     variance_single_exact(p, q)
 
 
-class TestVarianceBound:
-    def test_one_step_hand_value(self):
-        # seed (u, v, p, q) = (96, 1, 2, 1); one step at d = 1
-        out = variance_bound_product(ChainSpec(1, 1, (1,)))
-        assert out == pytest.approx(195 + 3 * math.sqrt(96), rel=1e-14)
+def _pairings(slots):
+    """Every perfect matching of ``slots``, as lists of pairs."""
+    if not slots:
+        yield []
+        return
+    first, rest = slots[0], slots[1:]
+    for i, other in enumerate(rest):
+        for tail in _pairings(rest[:i] + rest[i + 1:]):
+            yield [(first, other), *tail]
 
-    def test_seed_values(self):
-        # at p = q = d = 1 the seed (u, v, p_term, q_term) is
-        # (96, kappa_q, 2 kappa_p, kappa_q); one step gives
-        # c1 p_term + 2u + v + 3 sqrt(u v), and c2..c4 act only later
-        out = variance_bound_product(ChainSpec(1, 1, (1,)), c1=5.0, c2=7.0, kappa_p=3.0, kappa_q=4.0)
-        assert out == pytest.approx(5 * 6 + 192 + 4 + 3 * math.sqrt(96 * 4), rel=1e-14)
 
-    def test_monotone_in_constants(self):
-        spec = ChainSpec(3, 2, (8, 8))
-        base = variance_bound_product(spec)
-        for name in ("c1", "c2", "c3", "c4"):
-            assert variance_bound_product(spec, **{name: 2.0}) >= base
+def _cycle_lengths(fixed, pairing):
+    """Cycles of the union of two perfect matchings, each counted in ``pairing`` edges."""
+    across, along = {}, {}
+    for x, y in fixed:
+        across[x], across[y] = y, x
+    for x, y in pairing:
+        along[x], along[y] = y, x
+    seen, lengths = set(), []
+    for start in across:
+        if start in seen:
+            continue
+        length, x = 0, start
+        while True:
+            seen.update((x, across[x]))
+            x, length = along[across[x]], length + 1
+            if x == start:
+                break
+        lengths.append(length)
+    return lengths
 
-    def test_nonpositive_constants_rejected(self):
-        with pytest.raises(ValueError):
-            variance_bound_product(ChainSpec(2, 2, (4,)), c1=0.0)
-        with pytest.raises(ValueError):
-            variance_bound_product(ChainSpec(2, 2, (4,)), kappa_q=-1.0)
 
-    def test_single_factor_rejected(self):
-        with pytest.raises(ValueError):
-            variance_bound_product(ChainSpec(2, 2))
+def wick_trace_moments(lam):
+    """The row ``c_{lam mu}(n)`` of E p_lam(W), W ~ Wishart(n, Sigma), from the Wick pairings.
 
-    def test_state_nondecreasing_under_steps(self):
-        # the chain with k equal inner dimensions takes k steps from one seed,
-        # so its bound is the recurrence's u after k steps
-        bounds = [variance_bound_product(ChainSpec(3, 4, (8,) * k)) for k in range(1, 5)]
-        assert bounds == sorted(bounds)
+    W = sum_a x_a x_a^T with x_a ~ N(0, Sigma) gives 2|lam| vector slots,
+    two per factor W (slots 2t and 2t + 1 share the column a_t), and the
+    traces join slot 2t + 1 to slot 2 gamma(t) of the next factor in its
+    cycle. Each pairing of the slots contributes n^(column cycles) times
+    the product of tr(Sigma^m) over the cycles it closes with the traces.
+    """
+    k = sum(lam)
+    gamma, start = [], 0
+    for part in lam:
+        gamma += [start + (i + 1) % part for i in range(part)]
+        start += part
+    columns = [(2 * t, 2 * t + 1) for t in range(k)]
+    traces = [(2 * t + 1, 2 * gamma[t]) for t in range(k)]
+    row = {}
+    for pairing in _pairings(list(range(2 * k))):
+        mu = tuple(sorted(_cycle_lengths(traces, pairing), reverse=True))
+        coeffs = row.setdefault(mu, [0] * (k + 1))
+        coeffs[len(_cycle_lengths(columns, pairing))] += 1
+    return row
 
-    def test_growth_is_at_most_geometric(self):
-        # bound / ((p^3 q + p q^3)/d1^4) should grow by a bounded factor
-        # per extra layer
-        p = q = d = 32
-        scale = (p**3 * q + p * q**3) / d**4
-        ratios = []
-        for r in range(2, 7):
-            spec = ChainSpec(p, q, (d,) * (r - 1))
-            ratios.append(variance_bound_product(spec) / scale)
-        for prev, nxt in zip(ratios, ratios[1:]):
-            assert nxt / prev <= 8.0
 
-    # The recurrence constants default to 1, which understates the true
-    # absolute constants when the inner dimensions are comparable to p, q.
-    # One calibration multiplier, fixed once from the worst grid corner
-    # (p = q = 8, inner = (8, 8), where bound/empirical = 0.098), must make
-    # the bound dominate the observed variance everywhere on the grid.
-    CALIBRATION = 16.0
+def wick_second_moment_pair(p, d, q):
+    """E tr((A^T A)^2)^2 for A = B G, B ~ p x d and G ~ d x q Gaussians, by enumeration.
+
+    Each of the eight A-entries expands into d paths through the inner
+    index; a path tuple whose B-moment vanishes is skipped.
+    """
+    quads = list(product(range(q), range(q), range(p), range(p)))
+    total = 0
+    for (a, b, i, j), (a2, b2, i2, j2) in product(quads, quads):
+        rows = (i, i, j, j, i2, i2, j2, j2)
+        cols = (a, b, a, b, a2, b2, a2, b2)
+        for ks in product(range(d), repeat=8):
+            eb = _moment_of_tally(Counter(zip(rows, ks)))
+            if eb:
+                total += eb * _moment_of_tally(Counter(zip(ks, cols)))
+    return total
+
+
+class TestVarianceProductExact:
+    @pytest.mark.parametrize("lam", list(WISHART_TRACE_MOMENTS))
+    def test_table_matches_wick_pairings(self, lam):
+        # (2k-1)!! pairings: 3 for |lam| = 2, 105 for |lam| = 4
+        derived = {mu: list(c) for mu, c in wick_trace_moments(lam).items()}
+        committed = WISHART_TRACE_MOMENTS[lam]
+        assert sorted(derived) == sorted(committed)
+        for mu, coeffs in committed.items():
+            assert derived[mu] == list(coeffs) + [0] * (len(derived[mu]) - len(coeffs))
+
+    def test_first_row(self):
+        # E tr W^2 = (n^2 + n) tr Sigma^2 + n (tr Sigma)^2
+        assert WISHART_TRACE_MOMENTS[(2,)] == {(2,): (0, 1, 1), (1, 1): (0, 1)}
+
+    def test_scalar_chain_hand_value(self):
+        # h = (b g)^4 for standard normals b, g: E b^8 E g^8 - (E b^4 E g^4)^2
+        assert var_h_product_exact(ChainSpec(1, 1, (1,))) == 105**2 - 9**2
+
+    def test_single_factor_is_variance_single_exact(self):
+        for p in range(1, 7):
+            for q in range(1, 7):
+                assert var_h_product_exact(ChainSpec(p, q)) == variance_single_exact(p, q)
+
+    def test_mean_row_matches_mean_h_product_exact(self):
+        # the (2) row of the table gives E h; inner dimensions below p included
+        for p, q in product((1, 2, 3, 5), repeat=2):
+            for inner in [(1,), (2,), (7,), (2, 2), (3, 1, 3), (1, 4, 2, 1), (4, 3, 2, 4)]:
+                spec = ChainSpec(p, q, inner)
+                norm = math.prod(d * d for d in inner) * inner[0] ** 2
+                assert Fraction(_trace_moment(spec, (2,)), norm) == mean_h_product_exact(spec)
+
+    @pytest.mark.parametrize("p, q, d", list(product((1, 2), repeat=3)))
+    def test_two_factor_matches_wick_enumeration(self, p, q, d):
+        mean = wick_exact_mean_h(p, q, (d,)) * d**4
+        second = wick_second_moment_pair(p, d, q)
+        assert var_h_product_exact(ChainSpec(p, q, (d,))) == Fraction(second - mean * mean, d**8)
+
     DOMINANCE_GRID = [
         ChainSpec(2, 2, (8,)),
         ChainSpec(8, 4, (16,)),
@@ -226,13 +287,13 @@ class TestVarianceBound:
         ChainSpec(8, 8, (8, 8)),
     ]
 
-    def test_calibrated_bound_dominates_empirical_variance(self):
+    def test_mc_variance_matches_exact(self):
         n = 20_000
         for k, spec in enumerate(self.DOMINANCE_GRID):
-            bound = self.CALIBRATION * variance_bound_product(spec)
+            exact = float(var_h_product_exact(spec))
             ci = mc_variance(h_samples(sample_product, spec, n, SeedSpec(991, k * n)))
-            assert bound >= ci.estimate - 3 * ci.std_error, \
-                f"{spec}: {bound:.3f} < {ci.estimate:.3f} - 3*{ci.std_error:.3f}"
+            assert abs(ci.estimate - exact) <= 4 * ci.std_error, \
+                f"{spec}: {ci.estimate:.4f} vs exact {exact:.4f}, SE {ci.std_error:.4f}"
 
 
 class TestMonteCarloConsistency:
