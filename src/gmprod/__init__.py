@@ -16,18 +16,13 @@ from .distinguisher import (
 from .engine import h_samples
 from .moments import (
     MomentVector,
-    UComponents,
     base_gaussian_moments,
     closed_form_moments,
     layer_update,
     mean_h_asymptotic,
     mean_h_product,
     mean_h_product_exact,
-    mean_h_single,
-    u_components_gaussian,
     var_h_product_exact,
-    variance_from_components,
-    variance_single_exact,
 )
 from .oracle import (
     CIEstimate,
@@ -53,17 +48,12 @@ __all__ = [
     "h_samples",
     "stat_h",
     "MomentVector",
-    "UComponents",
     "base_gaussian_moments",
     "layer_update",
     "closed_form_moments",
     "mean_h_product",
     "mean_h_product_exact",
     "mean_h_asymptotic",
-    "mean_h_single",
-    "u_components_gaussian",
-    "variance_from_components",
-    "variance_single_exact",
     "var_h_product_exact",
     "WickBudget",
     "CIEstimate",

@@ -32,16 +32,13 @@ from .distinguisher import (
     tv_lower_bound_empirical,
     tv_upper_bound,
 )
-from .moments import (
-    closed_form_moments,
-    mean_h_asymptotic,
-    mean_h_product_exact,
-    variance_single_exact,
-)
+from .moments import closed_form_moments, mean_h_asymptotic, mean_h_product_exact, var_h_product_exact
 from .oracle import OracleBudgetError, WickBudget, wick_exact_mean_h, wick_exact_var_h_single
 from .sampling import SeedSpec
 
-CONSTANT_NAMES = ("c",)
+# The TV upper bound's multiplier, fixed at 1 as the column name tv_upper_c1
+# says; every report echoes it under the frozen key "constants".
+TV_UPPER_C = 1.0
 
 MOMENTS_CSV_HEADER = [
     "p", "q", "inner", "mean_product", "mean_asymptotic", "mean_single",
@@ -65,32 +62,10 @@ def _parse_inner(text: str) -> tuple[int, ...]:
     return dims
 
 
-def _parse_constants(text: str) -> dict[str, float]:
-    constants = {name: 1.0 for name in CONSTANT_NAMES}
-    if not text.strip():
-        return constants
-    given = set()
-    for item in text.split(","):
-        name, sep, raw = item.partition("=")
-        name = name.strip()
-        if not sep or name not in CONSTANT_NAMES:
-            raise ValueError(
-                f"bad constant {item!r}; expected name=value with name in {CONSTANT_NAMES}"
-            )
-        if name in given:
-            raise ValueError(f"constant {name} is given more than once")
-        given.add(name)
-        try:
-            value = float(raw)
-        except ValueError:
-            raise ValueError(f"constant {name} must be a number, got {raw!r}") from None
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"constant {name} must be positive and finite, got {value}")
-        constants[name] = value
-    return constants
-
-
-def _default_seed() -> int:
+def _seed(args) -> int:
+    """The master seed: ``--seed``, else the GMPROD_SEED env var, else 0."""
+    if args.seed is not None:
+        return args.seed
     raw = os.environ.get("GMPROD_SEED", "0")
     try:
         return int(raw)
@@ -144,7 +119,6 @@ def cmd_moments(args):
     spec = _spec_from(args)
     if spec.r < 2:
         raise ValueError("moments requires at least one inner dimension")
-    constants = _parse_constants(args.constants)
     plan = build_test(spec)
     s = closed_form_moments(spec.inner)
     report = {
@@ -157,26 +131,26 @@ def cmd_moments(args):
         "var_single": plan.var_single,
         "var_product": plan.var_product,
         "s1": s.s1, "s2": s.s2, "s3": s.s3, "s4": s.s4, "s5": s.s5, "s6": s.s6,
-        "constants": constants,
+        "constants": {"c": TV_UPPER_C},
     }
     return report, MOMENTS_CSV_HEADER, [report]
 
 
 def cmd_distinguish(args):
+    seed = _seed(args)
     spec = _spec_from(args)
     if spec.r < 2:
         raise ValueError("distinguish requires at least one inner dimension")
     if args.trials < 10:
         raise ValueError("distinguish requires at least 10 trials per ensemble")
-    constants = _parse_constants(args.constants)
     plan = build_test(spec)
-    report_values = empirical_power(spec, args.trials, SeedSpec(args.seed), plan)
+    report_values = empirical_power(spec, args.trials, SeedSpec(seed), plan)
     report = {
         "p": spec.p,
         "q": spec.q,
         "inner": list(spec.inner),
         "trials": args.trials,
-        "seed": args.seed,
+        "seed": seed,
         "threshold": plan.threshold,
         "mu_single": plan.mu_single,
         "mu_product": plan.mu_product,
@@ -184,12 +158,13 @@ def cmd_distinguish(args):
         "false_positive_rate": report_values.false_positive_rate,
         "false_negative_rate": report_values.false_negative_rate,
         "chebyshev_error_bound": report_values.chebyshev_error_bound,
-        "constants": constants,
+        "constants": {"c": TV_UPPER_C},
     }
     return report, DISTINGUISH_CSV_HEADER, [report]
 
 
 def cmd_sweep(args):
+    seed = _seed(args)
     if args.r < 2:
         raise ValueError("sweep requires at least two factors (--r >= 2)")
     if args.d_min < 1:
@@ -200,7 +175,6 @@ def cmd_sweep(args):
         raise ValueError("sweep needs at least 2 steps")
     if args.trials < 10:
         raise ValueError("sweep requires at least 10 trials per ensemble")
-    constants = _parse_constants(args.constants)
     # through float: numpy cannot take the log of an int above 2**64
     grid = [int(round(d)) for d in np.geomspace(float(args.d_min), float(args.d_max), args.steps)]
     if len(set(grid)) < len(grid):
@@ -213,20 +187,20 @@ def cmd_sweep(args):
         spec = ChainSpec(args.p, args.q, (d,) * (args.r - 1))
         spec.validate(strict=args.strict_dims)
         plan = build_test(spec)
-        row_seed = SeedSpec(args.seed, k * 2 * args.trials)
+        row_seed = SeedSpec(seed, k * 2 * args.trials)
         h_product, h_single = draw_h_samples(spec, args.trials, row_seed)
         power = power_from_samples(h_product, h_single, plan)
         rows.append({
             "d": d,
             "accuracy": power.accuracy,
             "tv_lower_empirical": tv_lower_bound_empirical(h_product, h_single),
-            "tv_upper_c1": tv_upper_bound(spec, constants["c"]),
+            "tv_upper_c1": tv_upper_bound(spec, TV_UPPER_C),
             "chebyshev_error": power.chebyshev_error_bound,
             "mean_gap": plan.mu_product - plan.mu_single,
         })
     report = {
-        "p": args.p, "q": args.q, "r": args.r, "trials": args.trials, "seed": args.seed,
-        "constants": constants,
+        "p": args.p, "q": args.q, "r": args.r, "trials": args.trials, "seed": seed,
+        "constants": {"c": TV_UPPER_C},
         "rows": rows,
     }
     return report, SWEEP_CSV_HEADER, rows
@@ -248,7 +222,7 @@ def cmd_oracle(args):
     }
     if spec.r == 1:
         wick_var = wick_exact_var_h_single(spec.p, spec.q, budget)
-        closed_var = Fraction(variance_single_exact(spec.p, spec.q))
+        closed_var = var_h_product_exact(spec)
         report.update({
             "wick_variance": _frac_str(wick_var),
             "closed_form_variance": _frac_str(closed_var),
@@ -278,9 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
         if inner:
             p.add_argument("--inner", default="", help="comma-separated inner dimensions, e.g. 64 or 8,8")
         p.add_argument("--seed", type=int, default=None,
-                       help="master seed (default: GMPROD_SEED env var, else 0)")
-        p.add_argument("--constants", default="",
-                       help="name=value override for c, the TV upper bound multiplier (default 1)")
+                       help="master seed for distinguish and sweep "
+                            "(default: GMPROD_SEED env var, else 0)")
         p.add_argument("--format", choices=formats, default=formats[0], help="output format")
         p.add_argument("--out", default=None, help="write output to this path instead of stdout")
         p.add_argument("--strict-dims", action="store_true",
@@ -316,8 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.seed is None:
-            args.seed = _default_seed()
         report, csv_header, records = args.func(args)
         text = canonical_json(report) if args.format == "json" else _csv_text(csv_header, records)
     except OracleBudgetError as exc:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ChainSpec
-from .moments import mean_h_product, mean_h_single, var_h_product_exact, variance_single_exact
+from .moments import mean_h_product, mean_h_product_exact, var_h_product_exact
 from .engine import h_samples
 from .sampling import SeedSpec, sample_product, sample_single
 
@@ -46,18 +46,24 @@ class PowerReport:
 
 
 def build_test(spec: ChainSpec) -> TestPlan:
-    """Test plan for a chain: exact means, midpoint threshold, exact variances."""
+    """Test plan for a chain: exact means, midpoint threshold, exact variances.
+
+    The single ensemble is the one-factor chain ``ChainSpec(p, q)`` scaled
+    by 1/sqrt(d1), so its mean and variance are that chain's over d1^2 and
+    d1^4.
+    """
     spec.validate()
     if spec.r < 2:
         raise ValueError("test construction needs at least two factors")
-    mu_single = mean_h_single(spec.p, spec.q, spec.d1)
+    single, d1 = ChainSpec(spec.p, spec.q), spec.d1
+    mu_single = float(mean_h_product_exact(single) / d1**2)
     mu_product = mean_h_product(spec)
     return TestPlan(
         spec=spec,
         mu_single=mu_single,
         mu_product=mu_product,
         threshold=(mu_single + mu_product) / 2.0,
-        var_single=variance_single_exact(spec.p, spec.q) / spec.d1**4,
+        var_single=float(var_h_product_exact(single) / d1**4),
         var_product=float(var_h_product_exact(spec)),
     )
 

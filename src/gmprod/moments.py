@@ -1,15 +1,16 @@
 """Exact and asymptotic moments of the statistic for both ensembles.
 
-The six fourth-order invariant moments of a bi-rotationally invariant
-ensemble determine the mean of tr((A^T A)^2). Appending one Gaussian
-factor maps those moments linearly, which yields both a layer-by-layer
-recursion and closed forms for the whole chain. All recursion arithmetic
-is generic over Python numbers: integer inputs stay exact (Python ints
-never overflow), float inputs run in double precision for large sweeps.
+Every exact mean and variance of h = tr((A^T A)^2) comes from one source:
+each Gram matrix of the chain is Wishart given the factors before it, so a
+committed table of Wishart trace moments, applied once per factor, gives
+E[h] and E[h^2] as exact integers. A single Gaussian is the one-factor
+chain. The single ensemble scaled by 1/sqrt(d) is that chain's value over
+d^2 (mean) or d^4 (variance).
 
-The variance is exact for every chain: each Gram matrix of the chain is
-Wishart given the factors before it, so a committed table of Wishart
-trace moments, applied once per factor, gives E[h^2] as an exact integer.
+The six fourth-order invariant moments of a bi-rotationally invariant
+ensemble (``MomentVector``) are only printed: appending one Gaussian
+factor maps them linearly (``layer_update``), and ``closed_form_moments``
+folds that map over the whole chain in one pass, in exact integers.
 """
 
 from __future__ import annotations
@@ -67,123 +68,15 @@ def closed_form_moments(inner) -> MomentVector:
     """Moments of the full unnormalized chain with the given inner dimensions.
 
     Equivalent to folding ``layer_update`` over ``inner`` starting from the
-    single-Gaussian base; an empty list returns the base itself.
+    single-Gaussian base; an empty list returns the base itself. One pass:
+    s4 is the running product of d(d+2), and each layer maps s6 to
+    s6 d(d-1) + s4 d with the s4 of the layers before it.
     """
-    inner = [int(d) for d in inner]
-    s4 = math.prod(d * (d + 2) for d in inner)
-    s6 = sum(
-        math.prod(inner[i] * (inner[i] + 2) for i in range(j))
-        * inner[j]
-        * math.prod(inner[i] * (inner[i] - 1) for i in range(j + 1, len(inner)))
-        for j in range(len(inner))
-    )
+    s4, s6 = 1, 0
+    for d in inner:
+        d = int(d)
+        s4, s6 = s4 * d * (d + 2), s6 * d * (d - 1) + s4 * d
     return MomentVector(3 * s4, 3 * s4, s4, s4, s4 - 2 * s6, s6)
-
-
-def _normalizer(spec: ChainSpec) -> int:
-    """The sampler's scaling of h: prod d_k^2 * d_1^2, or 1 for one factor."""
-    return math.prod(d * d for d in spec.inner) * (spec.inner[0] ** 2 if spec.inner else 1)
-
-
-def mean_h_product_exact(spec: ChainSpec) -> Fraction:
-    """Exact E[tr((A^T A)^2)] for the normalized product chain, as a rational.
-
-    The chain normalizer is the fourth power of the accumulated per-factor
-    scalings: each of d_1 ... d_{r-1} appears squared, and the last factor
-    contributes another d_1^2. With an empty chain (one factor) there is
-    no normalizer, so the value is the unnormalized single-Gaussian mean
-    p*q*(p+q+1); normalizing that case is the caller's job, mirroring the
-    sampler's contract.
-    """
-    m = closed_form_moments(spec.inner)
-    numerator = spec.p * spec.q * (spec.p + spec.q + 1) * m.s3 + spec.p * spec.q * (
-        spec.p - 1
-    ) * (spec.q - 1) * m.s6
-    return Fraction(numerator, _normalizer(spec))
-
-
-def mean_h_product(spec: ChainSpec) -> float:
-    """Exact mean of the statistic under the product ensemble, as a float."""
-    return float(mean_h_product_exact(spec))
-
-
-def mean_h_asymptotic(spec: ChainSpec) -> float:
-    """Leading-order mean of the statistic for large inner dimensions.
-
-    pq(p+q+1)/d1^2 plus the pq(p-1)(q-1)/d1^2 * sum(1/d_j) correction that
-    separates the product from a single Gaussian.
-    """
-    if spec.r < 2:
-        raise ValueError("asymptotic mean needs at least two factors")
-    p, q, d1 = spec.p, spec.q, spec.d1
-    lead = p * q * (p + q + 1) / d1**2
-    corr = p * q * (p - 1) * (q - 1) / d1**2 * sum(1.0 / d for d in spec.inner)
-    return lead + corr
-
-
-def mean_h_single(p: int, q: int, d: int) -> float:
-    """Mean of the statistic for a p x q Gaussian scaled by 1/sqrt(d)."""
-    return p * q * (p + q + 1) / d**2
-
-
-@dataclass(frozen=True)
-class UComponents:
-    """Variance/covariance components of squared Gram entries of one ensemble.
-
-    u1: Var((A^T A)_ii^2)
-    u2: Var((A^T A)_ij^2), i != j
-    u3: Cov((A^T A)_ii^2, (A^T A)_ik^2), i != k
-    u4: Cov((A^T A)_ij^2, (A^T A)_ik^2), j != k, both off-diagonal
-    u5: Cov((A^T A)_ii^2, (A^T A)_jj^2), i != j
-    u6: Cov((A^T A)_ii^2, (A^T A)_jk^2), i, j, k distinct
-    u7: Cov((A^T A)_ij^2, (A^T A)_kl^2), i, j, k, l distinct
-    """
-
-    u1: int | float
-    u2: int | float
-    u3: int | float
-    u4: int | float
-    u5: int | float
-    u6: int | float
-    u7: int | float
-
-    def as_tuple(self):
-        return (self.u1, self.u2, self.u3, self.u4, self.u5, self.u6, self.u7)
-
-
-def u_components_gaussian(p: int) -> UComponents:
-    """The seven components for an unnormalized Gaussian with p rows."""
-    return UComponents(
-        u1=8 * p * (p + 2) * (p + 3),
-        u2=2 * p * (p + 3),
-        u3=4 * p * (p + 2),
-        u4=2 * p,
-        u5=0,
-        u6=0,
-        u7=0,
-    )
-
-
-def variance_from_components(u: UComponents, q: int) -> int | float:
-    """Assemble Var(tr((A^T A)^2)) from the components, q columns."""
-    if q < 1:
-        raise ValueError(f"q must be a positive integer, got {q}")
-    return (
-        q * u.u1
-        + q * (q - 1) * (2 * u.u2 + 4 * u.u3 + u.u5)
-        + 2 * q * (q - 1) * (q - 2) * (2 * u.u4 + u.u6)
-        + q * (q - 1) * (q - 2) * (q - 3) * u.u7
-    )
-
-
-def variance_single_exact(p: int, q: int) -> int:
-    """Var(tr((G^T G)^2)) for an unnormalized p x q Gaussian G.
-
-    Callers scale by 1/d^4 for the 1/sqrt(d)-normalized ensemble (the
-    statistic is quartic, so its variance picks up the eighth power of the
-    scaling).
-    """
-    return 4 * p * q * (5 + 5 * p + 5 * q + 2 * p * p + 5 * p * q + 2 * q * q)
 
 
 # E p_lam(W) = sum_mu c_{lam mu}(n) p_mu(Sigma) for W ~ Wishart_p(n, Sigma),
@@ -224,12 +117,49 @@ def _trace_moment(spec: ChainSpec, lam: tuple[int, ...]) -> int:
     return sum(weight * spec.p ** len(mu) for mu, weight in weights.items())
 
 
+def _normalizer(spec: ChainSpec) -> int:
+    """The sampler's scaling of h: prod d_k^2 * d_1^2, or 1 for one factor."""
+    return math.prod(d * d for d in spec.inner) * (spec.inner[0] ** 2 if spec.inner else 1)
+
+
+def mean_h_product_exact(spec: ChainSpec) -> Fraction:
+    """Exact E[tr((A^T A)^2)] for the normalized product chain, as a rational.
+
+    E p_(2) of the Gram matrix over the chain normalizer, the fourth power
+    of the accumulated per-factor scalings: each of d_1 ... d_{r-1} appears
+    squared, and the last factor contributes another d_1^2. With an empty
+    chain (one factor) there is no normalizer, so the value is the
+    unnormalized single-Gaussian mean p*q*(p+q+1); normalizing that case
+    is the caller's job, mirroring the sampler's contract.
+    """
+    return Fraction(_trace_moment(spec, (2,)), _normalizer(spec))
+
+
+def mean_h_product(spec: ChainSpec) -> float:
+    """Exact mean of the statistic under the product ensemble, as a float."""
+    return float(mean_h_product_exact(spec))
+
+
 def var_h_product_exact(spec: ChainSpec) -> Fraction:
     """Exact Var of the statistic for the normalized product chain, as a rational.
 
     E[h^2] = E p_(2,2) and E[h] = E p_(2) of the Gram matrix, scaled by the
     same normalizer as ``mean_h_product_exact``. With an empty chain the
-    value is for the unnormalized Gaussian, ``variance_single_exact(p, q)``.
+    value is for the unnormalized Gaussian, 4pq(2p^2 + 5pq + 2q^2 + 5p + 5q + 5).
     """
     mean = _trace_moment(spec, (2,))
     return Fraction(_trace_moment(spec, (2, 2)) - mean * mean, _normalizer(spec) ** 2)
+
+
+def mean_h_asymptotic(spec: ChainSpec) -> float:
+    """Leading-order mean of the statistic for large inner dimensions.
+
+    pq(p+q+1)/d1^2 plus the pq(p-1)(q-1)/d1^2 * sum(1/d_j) correction that
+    separates the product from a single Gaussian.
+    """
+    if spec.r < 2:
+        raise ValueError("asymptotic mean needs at least two factors")
+    p, q, d1 = spec.p, spec.q, spec.d1
+    lead = p * q * (p + q + 1) / d1**2
+    corr = p * q * (p - 1) * (q - 1) / d1**2 * sum(1.0 / d for d in spec.inner)
+    return lead + corr

@@ -7,7 +7,6 @@ every outcome here is reproducible bit for bit.
 
 import csv
 import math
-from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -25,9 +24,7 @@ from gmprod.moments import (
     closed_form_moments,
     layer_update,
     mean_h_product_exact,
-    u_components_gaussian,
-    variance_from_components,
-    variance_single_exact,
+    var_h_product_exact,
 )
 from gmprod.oracle import mc_mean, mc_variance, wick_exact_mean_h, wick_exact_var_h_single
 from gmprod.sampling import SeedSpec, sample_product, sample_single
@@ -72,12 +69,13 @@ def test_02_wick_oracle_matches_exact_mean():
 def test_03_single_gaussian_variance_identities():
     for p in range(1, 21):
         for q in range(1, 21):
-            if variance_from_components(u_components_gaussian(p), q) != variance_single_exact(p, q):
-                check("3 variance component identity", False, f"(p={p}, q={q})")
+            closed = 4 * p * q * (2 * p * p + 5 * p * q + 2 * q * q + 5 * p + 5 * q + 5)
+            if var_h_product_exact(ChainSpec(p, q)) != closed:
+                check("3 variance closed-form identity", False, f"(p={p}, q={q})")
     scalar = wick_exact_var_h_single(1, 1)
     ok = scalar == 96 == 105 - 9
     for p, q in product((1, 2), repeat=2):
-        ok = ok and wick_exact_var_h_single(p, q) == Fraction(variance_single_exact(p, q))
+        ok = ok and wick_exact_var_h_single(p, q) == var_h_product_exact(ChainSpec(p, q))
     check("3 variance identities + Wick enumeration", ok, "p,q <= 20 exact; Wick at p,q <= 2")
 
 

@@ -9,7 +9,6 @@ PUBLIC_API = [
     "PowerReport",
     "SeedSpec",
     "TestPlan",
-    "UComponents",
     "WickBudget",
     "__version__",
     "base_gaussian_moments",
@@ -26,7 +25,6 @@ PUBLIC_API = [
     "mean_h_asymptotic",
     "mean_h_product",
     "mean_h_product_exact",
-    "mean_h_single",
     "power_from_samples",
     "sample_product",
     "sample_single",
@@ -34,10 +32,7 @@ PUBLIC_API = [
     "stream_rng",
     "tv_lower_bound_empirical",
     "tv_upper_bound",
-    "u_components_gaussian",
     "var_h_product_exact",
-    "variance_from_components",
-    "variance_single_exact",
     "wick_exact_mean_h",
     "wick_exact_var_h_single",
 ]

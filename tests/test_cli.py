@@ -19,7 +19,89 @@ DISTINGUISH_HEADER = [
     "accuracy", "false_positive_rate", "false_negative_rate", "chebyshev_error_bound",
 ]
 SWEEP_HEADER = ["d", "accuracy", "tv_lower_empirical", "tv_upper_c1", "chebyshev_error", "mean_gap"]
-CONSTANTS = ["c"]
+
+# The full stdout of deterministic commands, pinned literally: a change in
+# how a value is derived must not move a printed digit.
+PINNED_OUTPUT = {
+    "moments --p 3 --q 2 --inner 6,6": """\
+{
+  "constants": {
+    "c": 1.0
+  },
+  "inner": [
+    6,
+    6
+  ],
+  "mean_asymptotic": 1.1111111111111112,
+  "mean_product": 1.8981481481481481,
+  "mean_single": 1.0,
+  "p": 3,
+  "q": 2,
+  "s1": 6912,
+  "s2": 6912,
+  "s3": 2304,
+  "s4": 2304,
+  "s5": 1368,
+  "s6": 468,
+  "var_product": 48.51561309251638,
+  "var_single": 1.5925925925925926
+}
+""",
+    "moments --p 3 --q 2 --inner 6,6 --format csv": """\
+p,q,inner,mean_product,mean_asymptotic,mean_single,var_single,var_product,s1,s2,s3,s4,s5,s6
+3,2,6;6,1.8981481481481481,1.1111111111111112,1,1.5925925925925926,48.515613092516382,6912,6912,2304,2304,1368,468
+""",
+    "moments --p 8 --q 8 --inner 2048": """\
+{
+  "constants": {
+    "c": 1.0
+  },
+  "inner": [
+    2048
+  ],
+  "mean_asymptotic": 0.00025976449251174927,
+  "mean_product": 0.0002600178122520447,
+  "mean_single": 0.0002593994140625,
+  "p": 8,
+  "q": 8,
+  "s1": 12595200,
+  "s2": 12595200,
+  "s3": 4198400,
+  "s4": 4198400,
+  "s5": 4194304,
+  "s6": 2048,
+  "var_product": 9.794526273731552e-09,
+  "var_single": 9.618815965950489e-09
+}
+""",
+    "oracle --p 2 --q 3": """\
+{
+  "closed_form_mean": "36/1",
+  "closed_form_variance": "2064/1",
+  "equal_mean": true,
+  "equal_variance": true,
+  "inner": [],
+  "max_monomials": 10000000,
+  "p": 2,
+  "q": 3,
+  "wick_mean": "36/1",
+  "wick_variance": "2064/1"
+}
+""",
+    "oracle --p 2 --q 3 --inner 5": """\
+{
+  "closed_form_mean": "264/125",
+  "equal_mean": true,
+  "inner": [
+    5
+  ],
+  "max_monomials": 10000000,
+  "p": 2,
+  "q": 3,
+  "wick_mean": "264/125"
+}
+""",
+}
 
 
 def run_cli(args, capsys):
@@ -80,41 +162,6 @@ class TestMoments:
         )
         assert code == 2
         assert "strict" in err
-
-    def test_bad_constant_name(self, capsys):
-        code, _, err = run_cli(
-            ["moments", "--p", "2", "--q", "2", "--inner", "4", "--constants", "zeta=2"], capsys
-        )
-        assert code == 2
-
-    def test_only_c_is_a_constant(self, capsys):
-        code, out, err = run_cli(
-            ["moments", "--p", "2", "--q", "2", "--inner", "4", "--constants", "c1=2"], capsys
-        )
-        assert_refused(code, out, err)
-        assert "c1" in err
-
-    @pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
-    def test_nonfinite_constant_rejected(self, value, capsys):
-        code, out, err = run_cli(
-            ["moments", "--p", "2", "--q", "2", "--inner", "4", "--constants", f"c={value}"],
-            capsys,
-        )
-        assert code == 2 and out == ""
-        assert err.startswith("gmprod: constant c ")
-
-    @pytest.mark.parametrize(
-        "text, message",
-        [("c=2,c=3", "constant c is given more than once"),
-         ("c=abc", "constant c must be a number")],
-        ids=["repeated", "non-numeric"],
-    )
-    def test_malformed_constant_rejected(self, text, message, capsys):
-        code, out, err = run_cli(
-            ["moments", "--p", "2", "--q", "2", "--inner", "4", "--constants", text], capsys
-        )
-        assert code == 2 and out == ""
-        assert err.startswith(f"gmprod: {message}") and err.count("\n") == 1
 
     @pytest.mark.parametrize("inner", ["0", "4,-3"])
     def test_nonpositive_inner_rejected(self, inner, capsys):
@@ -297,6 +344,24 @@ class TestSeedHandling:
         assert code == 2
         assert "GMPROD_SEED" in err
 
+    @pytest.mark.parametrize(
+        "argv", ["moments --p 3 --q 2 --inner 6,6", "oracle --p 2 --q 3"], ids=["moments", "oracle"]
+    )
+    def test_malformed_env_seed_ignored_without_draws(self, argv, capsys, monkeypatch):
+        # moments and oracle draw nothing, so they never read the seed
+        monkeypatch.setenv("GMPROD_SEED", "not-a-number")
+        code, out, err = run_cli(argv.split(), capsys)
+        assert (code, out, err) == (0, PINNED_OUTPUT[argv], "")
+
+    def test_malformed_env_seed_refused_by_sweep(self, capsys, monkeypatch):
+        monkeypatch.setenv("GMPROD_SEED", "not-a-number")
+        code, out, err = run_cli(
+            ["sweep", "--p", "2", "--q", "2", "--d-min", "4", "--d-max", "16",
+             "--steps", "2", "--trials", "10"], capsys
+        )
+        assert_refused(code, out, err)
+        assert "GMPROD_SEED" in err
+
     def test_argparse_errors_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["distinguish", "--q", "2", "--inner", "4"])
@@ -317,6 +382,31 @@ class TestSeedHandling:
         out = capsys.readouterr()
         assert exc.value.code == 2 and out.out == ""
         assert out.err.startswith("gmprod:") and out.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", list(PINNED_OUTPUT), ids=list(PINNED_OUTPUT))
+def test_pinned_output(argv, capsys):
+    assert run_cli(argv.split(), capsys) == (0, PINNED_OUTPUT[argv], "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["moments", "--p", "2", "--q", "2", "--inner", "4"],
+        ["distinguish", "--p", "2", "--q", "2", "--inner", "4", "--trials", "10"],
+        ["sweep", "--p", "2", "--q", "2", "--d-min", "4", "--d-max", "16",
+         "--steps", "2", "--trials", "10"],
+        ["oracle", "--p", "2", "--q", "2"],
+    ],
+    ids=["moments", "distinguish", "sweep", "oracle"],
+)
+def test_constants_option_removed(argv, capsys):
+    # c is fixed at 1; every report still echoes it as {"c": 1.0}
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--constants", "c=2"])
+    out = capsys.readouterr()
+    assert_refused(exc.value.code, out.out, out.err)
+    assert "--constants" in out.err
 
 
 @pytest.mark.parametrize(
@@ -392,10 +482,6 @@ def _finite_number(field: str) -> bool:
 
 
 DIMENSION = st.one_of(st.integers(-2, 70), st.integers(1, 10**400))
-CONSTANT_VALUE = st.one_of(
-    st.floats(allow_nan=False, allow_infinity=False),
-    st.sampled_from([1e300, 1.7976931348623157e308, 5e-324]),
-)
 
 
 @settings(max_examples=200, deadline=None)
@@ -404,24 +490,21 @@ CONSTANT_VALUE = st.one_of(
     q=DIMENSION,
     inner=st.lists(DIMENSION, min_size=1, max_size=4),
     closed=st.booleans(),
-    constants=st.dictionaries(st.sampled_from(CONSTANTS), CONSTANT_VALUE, max_size=3),
     fmt=st.sampled_from(["json", "csv"]),
 )
-def test_moments_contract_holds_for_generated_argv(p, q, inner, closed, constants, fmt):
+def test_moments_contract_holds_for_generated_argv(p, q, inner, closed, fmt):
     # moments draws no samples, so no generated size turns into an allocation
     if closed:
         inner[-1] = inner[0]
     argv = ["moments", "--p", str(p), "--q", str(q), "--inner", ",".join(map(str, inner)),
             "--format", fmt]
-    if constants:
-        argv += ["--constants", ",".join(f"{k}={v!r}" for k, v in constants.items())]
     out = run_generated(argv)
     if out is None:
         return
     if fmt == "json":
         report = json.loads(out, parse_constant=_refuse_constant)
         assert sorted(report) == sorted([*MOMENTS_HEADER, "constants"])
-        assert sorted(report["constants"]) == sorted(CONSTANTS)
+        assert report["constants"] == {"c": 1.0}
     else:
         header, row = csv.reader(io.StringIO(out))
         assert header == MOMENTS_HEADER

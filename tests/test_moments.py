@@ -9,22 +9,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gmprod.core import ChainSpec
+from gmprod.distinguisher import build_test
 from gmprod.engine import h_samples
 from gmprod.moments import (
     WISHART_TRACE_MOMENTS,
     MomentVector,
-    _trace_moment,
     base_gaussian_moments,
     closed_form_moments,
     layer_update,
     mean_h_asymptotic,
     mean_h_product,
     mean_h_product_exact,
-    mean_h_single,
-    u_components_gaussian,
     var_h_product_exact,
-    variance_from_components,
-    variance_single_exact,
 )
 from gmprod.oracle import _moment_of_tally, mc_mean, mc_variance, wick_exact_mean_h
 from gmprod.sampling import SeedSpec, sample_product, sample_single
@@ -87,6 +83,10 @@ class TestClosedFormMoments:
             for inner in product(dims, repeat=length):
                 assert closed_form_moments(inner).as_tuple() == fold_layers(inner).as_tuple()
 
+    def test_matches_recursion_long_chain(self):
+        inner = [(7 * k) % 23 + 1 for k in range(300)]
+        assert closed_form_moments(inner).as_tuple() == fold_layers(inner).as_tuple()
+
 
 class TestMeanProduct:
     def test_two_factor_example(self):
@@ -129,41 +129,23 @@ class TestMeanAsymptotic:
 
 class TestMeanSingle:
     def test_values(self):
-        assert mean_h_single(2, 2, 4) == 1.25
-        assert mean_h_single(1, 1, 1) == 3.0
-        assert mean_h_single(3, 2, 1) == 36.0
+        # the single ensemble of the test plan: the one-factor chain over d1^2
+        assert build_test(ChainSpec(2, 2, (4,))).mu_single == 1.25
+        assert build_test(ChainSpec(1, 1, (1,))).mu_single == 3.0
+        assert build_test(ChainSpec(3, 2, (1,))).mu_single == 36.0
 
 
 class TestVarianceSingle:
-    def test_u_components(self):
-        assert u_components_gaussian(2).as_tuple() == (320, 20, 32, 4, 0, 0, 0)
-        assert u_components_gaussian(1).as_tuple() == (96, 8, 12, 2, 0, 0, 0)
-
-    @pytest.mark.parametrize("p", range(1, 8))
-    def test_components_nonnegative(self, p):
-        assert all(u >= 0 for u in u_components_gaussian(p).as_tuple())
-
-    def test_assembly(self):
-        assert variance_from_components(u_components_gaussian(2), 2) == 976
-        assert variance_from_components(u_components_gaussian(1), 1) == 96
-
-    def test_single_column_keeps_only_u1(self):
-        u = u_components_gaussian(5)
-        assert variance_from_components(u, 1) == u.u1
-
     def test_exact_values(self):
-        assert variance_single_exact(1, 1) == 96  # = E g^8 - (E g^4)^2 = 105 - 9
-        assert variance_single_exact(2, 2) == 976
-        assert variance_single_exact(2, 1) == 320
+        # = E g^8 - (E g^4)^2 = 105 - 9
+        assert var_h_product_exact(ChainSpec(1, 1)) == 96
+        assert var_h_product_exact(ChainSpec(2, 2)) == 976
+        assert var_h_product_exact(ChainSpec(2, 1)) == 320
+        # the test plan's single ensemble: the one-factor chain over d1^4
+        assert build_test(ChainSpec(2, 2, (4,))).var_single == 976 / 4**4
 
     def test_symmetry(self):
-        assert variance_single_exact(3, 5) == variance_single_exact(5, 3)
-
-    def test_component_identity_full_grid(self):
-        for p in range(1, 21):
-            for q in range(1, 21):
-                assert variance_from_components(u_components_gaussian(p), q) == \
-                    variance_single_exact(p, q)
+        assert var_h_product_exact(ChainSpec(3, 5)) == var_h_product_exact(ChainSpec(5, 3))
 
 
 def _pairings(slots):
@@ -258,18 +240,25 @@ class TestVarianceProductExact:
         # h = (b g)^4 for standard normals b, g: E b^8 E g^8 - (E b^4 E g^4)^2
         assert var_h_product_exact(ChainSpec(1, 1, (1,))) == 105**2 - 9**2
 
-    def test_single_factor_is_variance_single_exact(self):
+    def test_single_factor_matches_closed_forms(self):
+        # E tr(W^2) and Var tr(W^2) of a Wishart W, written out as reference values
         for p in range(1, 7):
             for q in range(1, 7):
-                assert var_h_product_exact(ChainSpec(p, q)) == variance_single_exact(p, q)
+                spec = ChainSpec(p, q)
+                assert mean_h_product_exact(spec) == p * q * (p + q + 1)
+                assert var_h_product_exact(spec) == \
+                    4 * p * q * (2 * p * p + 5 * p * q + 2 * q * q + 5 * p + 5 * q + 5)
 
     def test_mean_row_matches_mean_h_product_exact(self):
-        # the (2) row of the table gives E h; inner dimensions below p included
+        # the printed s3 and s6 give the same E h as the table's (2) row;
+        # inner dimensions below p included
         for p, q in product((1, 2, 3, 5), repeat=2):
             for inner in [(1,), (2,), (7,), (2, 2), (3, 1, 3), (1, 4, 2, 1), (4, 3, 2, 4)]:
                 spec = ChainSpec(p, q, inner)
+                s = closed_form_moments(inner)
+                numerator = p * q * (p + q + 1) * s.s3 + p * q * (p - 1) * (q - 1) * s.s6
                 norm = math.prod(d * d for d in inner) * inner[0] ** 2
-                assert Fraction(_trace_moment(spec, (2,)), norm) == mean_h_product_exact(spec)
+                assert Fraction(numerator, norm) == mean_h_product_exact(spec)
 
     @pytest.mark.parametrize("p, q, d", list(product((1, 2), repeat=3)))
     def test_two_factor_matches_wick_enumeration(self, p, q, d):
@@ -320,7 +309,7 @@ class TestMonteCarloConsistency:
             ci_prod = mc_mean(h_samples(sample_product, spec, n, seed))
             ci_single = mc_mean(h_samples(sample_single, spec, n, seed.stream(n)))
             ok_prod = abs(ci_prod.estimate - mean_h_product(spec)) <= 4 * ci_prod.std_error
-            mu_single = mean_h_single(spec.p, spec.q, spec.d1)
+            mu_single = build_test(spec).mu_single
             ok_single = abs(ci_single.estimate - mu_single) <= 4 * ci_single.std_error
             if ok_prod and ok_single:
                 passing += 1

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gmprod.core import ChainSpec
-from gmprod.moments import mean_h_product_exact, variance_single_exact
+from gmprod.moments import mean_h_product_exact, var_h_product_exact
 from gmprod.oracle import (
     CIEstimate,
     OracleBudgetError,
@@ -52,9 +52,9 @@ class TestWickVariance:
         assert wick_exact_var_h_single(1, 1) == 96  # 105 - 9
 
     def test_matches_formula(self):
-        assert wick_exact_var_h_single(2, 2) == variance_single_exact(2, 2) == 976
-        assert wick_exact_var_h_single(2, 1) == variance_single_exact(2, 1) == 320
-        assert wick_exact_var_h_single(1, 2) == variance_single_exact(1, 2)
+        assert wick_exact_var_h_single(2, 2) == var_h_product_exact(ChainSpec(2, 2)) == 976
+        assert wick_exact_var_h_single(2, 1) == var_h_product_exact(ChainSpec(2, 1)) == 320
+        assert wick_exact_var_h_single(1, 2) == var_h_product_exact(ChainSpec(1, 2))
 
     def test_budget_enforced(self):
         with pytest.raises(OracleBudgetError):
@@ -79,7 +79,7 @@ class TestMcMean:
             mc_mean(np.zeros((2, 2)))
 
     def test_single_ensemble_mean(self):
-        # target mean_h_single(2,2,4) = 1.25 at modest n
+        # target pq(p+q+1)/d^2 = 20/16 = 1.25 at modest n
         spec = ChainSpec(2, 2, (4,))
         ci = mc_mean(h_samples(sample_single, spec, 20_000, SeedSpec(88)))
         assert abs(ci.estimate - 1.25) <= 4 * ci.std_error
