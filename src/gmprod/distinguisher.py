@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ChainSpec
-from .moments import mean_h_product, mean_h_product_exact, var_h_product_exact
+from .moments import as_float, mean_h_product, mean_h_product_exact, var_h_product_exact
 from .engine import h_samples
 from .sampling import SeedSpec, sample_product, sample_single
 
@@ -56,15 +56,15 @@ def build_test(spec: ChainSpec) -> TestPlan:
     if spec.r < 2:
         raise ValueError("test construction needs at least two factors")
     single, d1 = ChainSpec(spec.p, spec.q), spec.d1
-    mu_single = float(mean_h_product_exact(single) / d1**2)
+    mu_single = as_float(mean_h_product_exact(single) / d1**2, "mu_single")
     mu_product = mean_h_product(spec)
     return TestPlan(
         spec=spec,
         mu_single=mu_single,
         mu_product=mu_product,
         threshold=(mu_single + mu_product) / 2.0,
-        var_single=float(var_h_product_exact(single) / d1**4),
-        var_product=float(var_h_product_exact(spec)),
+        var_single=as_float(var_h_product_exact(single) / d1**4, "var_single"),
+        var_product=as_float(var_h_product_exact(spec), "var_product"),
     )
 
 

@@ -135,9 +135,21 @@ def mean_h_product_exact(spec: ChainSpec) -> Fraction:
     return Fraction(_trace_moment(spec, (2,)), _normalizer(spec))
 
 
+def as_float(value: Fraction, name: str) -> float:
+    """An exact value as a float; a ValueError naming ``name`` if it is too large for one."""
+    try:
+        return float(value)
+    except OverflowError:
+        exponent = math.floor(math.log10(abs(value.numerator)) - math.log10(value.denominator))
+        raise ValueError(
+            f"{name} of this chain is about 10^{exponent}, too large for a float; "
+            "use fewer factors or smaller p and q"
+        ) from None
+
+
 def mean_h_product(spec: ChainSpec) -> float:
     """Exact mean of the statistic under the product ensemble, as a float."""
-    return float(mean_h_product_exact(spec))
+    return as_float(mean_h_product_exact(spec), "mu_product")
 
 
 def var_h_product_exact(spec: ChainSpec) -> Fraction:

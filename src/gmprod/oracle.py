@@ -4,23 +4,24 @@ Two kinds of oracle live here. The exact one expands the statistic into
 monomials in individual Gaussian entries and evaluates each monomial by
 independence: distinct entries factor, and a single standard normal entry
 raised to the k-th power contributes (k-1)!! for even k and 0 for odd k.
-Everything is integer/rational arithmetic, so the results carry no
-floating error, but the enumeration is only feasible for tiny dimensions
-and chains of at most two factors. The Monte Carlo estimators cover
-everything else, with standard errors attached.
+Every monomial is visited, in blocks of ``_BLOCK_MONOMIALS`` decoded from a
+flat index and reduced in exact numpy integer arithmetic, so memory stays
+fixed; time grows with the monomial count (p^2 q^2 d^4 for a two-factor
+mean, (p^2 q^2)^2 for a variance), which ``WickBudget`` caps. Chains have
+at most two factors; Monte Carlo estimators with standard errors cover
+everything else.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 
-# E[g^k] for g ~ N(0,1): (k-1)!! for even k, zero for odd k.
-_EVEN_MOMENT = {0: 1, 2: 1, 4: 3, 6: 15, 8: 105}
+# Monomials per enumeration block; a block's moment sum is at most 2^11 * 105.
+_BLOCK_MONOMIALS = 1 << 11
 
 
 class OracleBudgetError(RuntimeError):
@@ -52,39 +53,38 @@ class CIEstimate:
     n: int
 
 
-def _moment_of_tally(tally: Counter) -> int:
-    out = 1
-    for exponent in tally.values():
-        if exponent % 2:
-            return 0
-        out *= _EVEN_MOMENT[exponent]
-    return out
+def _moment_sum(rows: np.ndarray) -> int:
+    """Sum of the moments of the monomials whose entry ids are the rows.
 
-
-def _mean_h_unnormalized_single(p: int, q: int) -> int:
-    """E tr((G^T G)^2) for a p x q standard Gaussian G, by enumeration."""
-    total = 0
-    for a, b, i, j in product(range(q), range(q), range(p), range(p)):
-        total += _moment_of_tally(Counter([(i, a), (i, b), (j, a), (j, b)]))
-    return total
-
-
-def _mean_h_unnormalized_pair(p: int, d: int, q: int) -> int:
-    """E tr((A^T A)^2) for A = B G with B ~ p x d and G ~ d x q Gaussians.
-
-    Each A-entry expands into d paths through the inner index; B- and
-    G-entries are tallied separately since the factors are independent.
+    A sorted row is nonzero iff its ids match in consecutive pairs (every
+    exponent even); the c-th pair of a run of equal ids contributes 2c - 1,
+    so an id of exponent 2c contributes (2c-1)!! = 1, 3, 15 or 105.
     """
+    rows = np.sort(rows, axis=1)
+    pairs = rows[:, 0::2]
+    pairs = pairs[(pairs == rows[:, 1::2]).all(axis=1)]
+    run = np.ones(len(pairs), dtype=np.int64)
+    moment = np.ones(len(pairs), dtype=np.int64)
+    for t in range(1, pairs.shape[1]):
+        run = np.where(pairs[:, t] == pairs[:, t - 1], run + 1, 1)
+        moment *= 2 * run - 1
+    return int(moment.sum())
+
+
+def _enumerate(shape: tuple[int, ...], entries) -> int:
+    """Moment sum of the monomials indexed by ``shape``, decoded block by block;
+    ``entries`` maps a block's index arrays, one per axis, to its id columns."""
+    size = math.prod(shape)
     total = 0
-    inner = range(d)
-    for a, b, i, j in product(range(q), range(q), range(p), range(p)):
-        for k1, k2, k3, k4 in product(inner, inner, inner, inner):
-            eb = _moment_of_tally(Counter([(i, k1), (i, k2), (j, k3), (j, k4)]))
-            if eb == 0:
-                continue
-            eg = _moment_of_tally(Counter([(k1, a), (k2, b), (k3, a), (k4, b)]))
-            total += eb * eg
+    for start in range(0, size, _BLOCK_MONOMIALS):
+        index = np.unravel_index(np.arange(start, min(start + _BLOCK_MONOMIALS, size)), shape)
+        total += _moment_sum(np.stack(entries(*index), axis=1))
     return total
+
+
+def _term(a, b, i, j, q: int):
+    """Ids of the entries (i, a), (i, b), (j, a), (j, b) of a matrix with q columns."""
+    return [i * q + a, i * q + b, j * q + a, j * q + b]
 
 
 def wick_exact_mean_h(p: int, q: int, inner, budget: WickBudget = WickBudget()) -> Fraction:
@@ -102,28 +102,28 @@ def wick_exact_mean_h(p: int, q: int, inner, budget: WickBudget = WickBudget()) 
         )
     if r == 1:
         budget.check(p * p * q * q, "mean enumeration")
-        return Fraction(_mean_h_unnormalized_single(p, q))
+        return Fraction(_enumerate((q, q, p, p), lambda *ix: _term(*ix, q)))
     d = inner[0]
     budget.check(p * p * q * q * d**4, "mean enumeration")
-    return Fraction(_mean_h_unnormalized_pair(p, d, q), d**4)
+
+    def paths(a, b, i, j, k1, k2, k3, k4):
+        # A = B G: each A-entry expands into d paths through the inner index; the
+        # factors are independent, so G-entry ids (k, a) start after B's (i, k)
+        return [i * d + k1, i * d + k2, j * d + k3, j * d + k4,
+                *(p * d + k * q + c for k, c in ((k1, a), (k2, b), (k3, a), (k4, b)))]
+
+    return Fraction(_enumerate((q, q, p, p, d, d, d, d), paths), d**4)
 
 
 def wick_exact_var_h_single(p: int, q: int, budget: WickBudget = WickBudget()) -> Fraction:
     """Exact Var tr((G^T G)^2) for an unnormalized p x q Gaussian.
 
-    The second moment is a degree-8 enumeration (entry moments up to
-    E g^8 = 105); the squared mean is subtracted exactly.
+    The second moment is a degree-8 enumeration over pairs of h's terms
+    (entry moments up to E g^8 = 105); the squared mean is subtracted exactly.
     """
-    quads = list(product(range(q), range(q), range(p), range(p)))
-    budget.check(len(quads) ** 2, "variance enumeration")
-    second = 0
-    for a, b, i, j in quads:
-        left = [(i, a), (i, b), (j, a), (j, b)]
-        for a2, b2, i2, j2 in quads:
-            tally = Counter(left)
-            tally.update([(i2, a2), (i2, b2), (j2, a2), (j2, b2)])
-            second += _moment_of_tally(tally)
-    mean = _mean_h_unnormalized_single(p, q)
+    budget.check((p * p * q * q) ** 2, "variance enumeration")
+    second = _enumerate((q, q, p, p) * 2, lambda *ix: _term(*ix[:4], q) + _term(*ix[4:], q))
+    mean = _enumerate((q, q, p, p), lambda *ix: _term(*ix, q))
     return Fraction(second - mean * mean)
 
 

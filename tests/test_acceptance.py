@@ -54,10 +54,10 @@ def test_01_closed_form_equals_recursion():
 
 def test_02_wick_oracle_matches_exact_mean():
     cases = 0
-    for p, q in product((1, 2, 3), repeat=2):
+    for p, q in product((1, 2, 3, 4), repeat=2):
         assert wick_exact_mean_h(p, q, []) == mean_h_product_exact(ChainSpec(p, q))
         cases += 1
-    for p, q, d in product((1, 2, 3), repeat=3):
+    for p, q, d in product((1, 2, 3, 4), repeat=3):
         wick = wick_exact_mean_h(p, q, [d])
         closed = mean_h_product_exact(ChainSpec(p, q, (d,)))
         if wick != closed:

@@ -425,6 +425,22 @@ def test_dimension_too_large_for_a_float_rejected(argv, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["sweep", "--p", "2", "--q", "2", "--r", "4001", "--d-min", "4", "--d-max", "16",
+          "--steps", "2", "--trials", "10"], "mu_product"),
+        (["moments", "--p", "16", "--q", "16", "--inner", ",".join(["16"] * 4000)], "var_product"),
+    ],
+    ids=["sweep-mean", "moments-variance"],
+)
+def test_exact_value_too_large_for_a_float_named(argv, field, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert_refused(code, out, err)
+    assert err.startswith(f"gmprod: {field} of this chain is about 10^")
+    assert "too large for a float" in err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         # row d = 2e10 of this grid once asked numpy for 298 GiB
@@ -585,7 +601,7 @@ ORACLE_KEYS = ["closed_form_mean", "equal_mean", "inner", "max_monomials", "p", 
 ORACLE_VARIANCE_KEYS = ["closed_form_variance", "equal_variance", "wick_variance"]
 # Tiny dimensions enumerate in milliseconds; the large ones are over any
 # budget up to the default, so the oracle refuses them before enumerating.
-ORACLE_DIMENSION = st.one_of(st.integers(1, 3), st.integers(10**4, 10**30))
+ORACLE_DIMENSION = st.one_of(st.integers(1, 4), st.integers(10**4, 10**30))
 
 
 @settings(max_examples=100, deadline=None)

@@ -22,8 +22,9 @@ from gmprod.moments import (
     mean_h_product_exact,
     var_h_product_exact,
 )
-from gmprod.oracle import _moment_of_tally, mc_mean, mc_variance, wick_exact_mean_h
+from gmprod.oracle import mc_mean, mc_variance, wick_exact_mean_h
 from gmprod.sampling import SeedSpec, sample_product, sample_single
+from wick_reference import moment_of_tally
 
 
 def fold_layers(inner):
@@ -216,9 +217,9 @@ def wick_second_moment_pair(p, d, q):
         rows = (i, i, j, j, i2, i2, j2, j2)
         cols = (a, b, a, b, a2, b2, a2, b2)
         for ks in product(range(d), repeat=8):
-            eb = _moment_of_tally(Counter(zip(rows, ks)))
+            eb = moment_of_tally(Counter(zip(rows, ks)))
             if eb:
-                total += eb * _moment_of_tally(Counter(zip(ks, cols)))
+                total += eb * moment_of_tally(Counter(zip(ks, cols)))
     return total
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -17,6 +18,11 @@ from gmprod.oracle import (
 )
 from gmprod.engine import h_samples
 from gmprod.sampling import SeedSpec, sample_single
+from wick_reference import (
+    mean_h_unnormalized_pair,
+    mean_h_unnormalized_single,
+    var_h_unnormalized_single,
+)
 
 
 class TestWickMean:
@@ -59,6 +65,38 @@ class TestWickVariance:
     def test_budget_enforced(self):
         with pytest.raises(OracleBudgetError):
             wick_exact_var_h_single(2, 2, WickBudget(max_monomials=10))
+
+
+class TestBlockedEnumeration:
+    """The blocked numpy enumeration against the one-monomial-at-a-time reference."""
+
+    @pytest.mark.parametrize("inner", [(), (1,), (2,), (3,)])
+    def test_mean_equals_reference(self, inner):
+        for p, q in product((1, 2, 3), repeat=2):
+            if inner:
+                (d,) = inner
+                expected = Fraction(mean_h_unnormalized_pair(p, d, q), d**4)
+            else:
+                expected = Fraction(mean_h_unnormalized_single(p, q))
+            assert wick_exact_mean_h(p, q, inner) == expected
+
+    def test_variance_equals_reference(self):
+        for p in range(1, 13):
+            for q in range(1, 12 // p + 1):
+                assert wick_exact_var_h_single(p, q) == Fraction(var_h_unnormalized_single(p, q))
+
+    @pytest.mark.parametrize("call, args", [
+        (wick_exact_var_h_single, (4, 4)),  # 65,536 monomials
+        (wick_exact_mean_h, (1, 1, [20])),  # 160,000 monomials, all on the d^4 axes
+    ])
+    def test_memory_does_not_grow_with_the_enumeration(self, call, args):
+        tracemalloc.start()
+        try:
+            call(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestMcMean:
