@@ -1,6 +1,6 @@
 """Gaussian matrix product ensembles: sampling, exact moments, distinguishing tests."""
 
-from .core import ChainSpec, Matrix
+from .core import ChainSpec
 from .distinguisher import (
     PowerReport,
     TestPlan,
@@ -20,7 +20,6 @@ from .moments import (
     closed_form_moments,
     layer_update,
     mean_h_asymptotic,
-    mean_h_product,
     mean_h_product_exact,
     var_h_product_exact,
 )
@@ -34,24 +33,20 @@ from .oracle import (
     wick_exact_var_h_single,
 )
 from .sampling import SeedSpec, sample_product, sample_single, stream_rng
-from .stats import stat_h
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ChainSpec",
-    "Matrix",
     "SeedSpec",
     "stream_rng",
     "sample_single",
     "sample_product",
     "h_samples",
-    "stat_h",
     "MomentVector",
     "base_gaussian_moments",
     "layer_update",
     "closed_form_moments",
-    "mean_h_product",
     "mean_h_product_exact",
     "mean_h_asymptotic",
     "var_h_product_exact",

@@ -25,6 +25,7 @@ import numpy as np
 
 from .core import ChainSpec
 from .distinguisher import (
+    TV_UPPER_C,
     build_test,
     draw_h_samples,
     empirical_power,
@@ -35,10 +36,6 @@ from .distinguisher import (
 from .moments import closed_form_moments, mean_h_asymptotic, mean_h_product_exact, var_h_product_exact
 from .oracle import OracleBudgetError, WickBudget, wick_exact_mean_h, wick_exact_var_h_single
 from .sampling import SeedSpec
-
-# The TV upper bound's multiplier, fixed at 1 as the column name tv_upper_c1
-# says; every report echoes it under the frozen key "constants".
-TV_UPPER_C = 1.0
 
 MOMENTS_CSV_HEADER = [
     "p", "q", "inner", "mean_product", "mean_asymptotic", "mean_single",
@@ -105,9 +102,15 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
 
 
-def _spec_from(args) -> ChainSpec:
-    spec = ChainSpec(args.p, args.q, _parse_inner(args.inner))
-    spec.validate(strict=args.strict_dims)
+def _spec_from(args, inner: tuple[int, ...]) -> ChainSpec:
+    """The chain ``--p``, ``--q``, ``inner``; ``--strict-dims`` also requires d_i >= max(p, q)."""
+    spec = ChainSpec(args.p, args.q, inner)
+    floor = max(spec.p, spec.q)
+    if args.strict_dims and any(d < floor for d in spec.inner):
+        raise ValueError(
+            f"strict mode requires every inner dimension >= max(p, q) = {floor}, "
+            f"got {spec.inner}"
+        )
     return spec
 
 
@@ -116,7 +119,7 @@ def _frac_str(f: Fraction) -> str:
 
 
 def cmd_moments(args):
-    spec = _spec_from(args)
+    spec = _spec_from(args, _parse_inner(args.inner))
     if spec.r < 2:
         raise ValueError("moments requires at least one inner dimension")
     plan = build_test(spec)
@@ -138,7 +141,7 @@ def cmd_moments(args):
 
 def cmd_distinguish(args):
     seed = _seed(args)
-    spec = _spec_from(args)
+    spec = _spec_from(args, _parse_inner(args.inner))
     if spec.r < 2:
         raise ValueError("distinguish requires at least one inner dimension")
     if args.trials < 10:
@@ -184,8 +187,7 @@ def cmd_sweep(args):
         )
     rows = []
     for k, d in enumerate(grid):
-        spec = ChainSpec(args.p, args.q, (d,) * (args.r - 1))
-        spec.validate(strict=args.strict_dims)
+        spec = _spec_from(args, (d,) * (args.r - 1))
         plan = build_test(spec)
         row_seed = SeedSpec(seed, k * 2 * args.trials)
         h_product, h_single = draw_h_samples(spec, args.trials, row_seed)
@@ -194,7 +196,7 @@ def cmd_sweep(args):
             "d": d,
             "accuracy": power.accuracy,
             "tv_lower_empirical": tv_lower_bound_empirical(h_product, h_single),
-            "tv_upper_c1": tv_upper_bound(spec, TV_UPPER_C),
+            "tv_upper_c1": tv_upper_bound(spec),
             "chebyshev_error": power.chebyshev_error_bound,
             "mean_gap": plan.mu_product - plan.mu_single,
         })
@@ -207,7 +209,7 @@ def cmd_sweep(args):
 
 
 def cmd_oracle(args):
-    spec = _spec_from(args)
+    spec = _spec_from(args, _parse_inner(args.inner))
     budget = WickBudget(max_monomials=args.max_monomials)
     wick_mean = wick_exact_mean_h(spec.p, spec.q, spec.inner, budget)
     closed_mean = mean_h_product_exact(spec)

@@ -1,8 +1,9 @@
 """Matrix validation and the dimension profile of a product chain.
 
 Matrices are plain 2-D float64 numpy arrays; every public operation
-validates its inputs and returns finite values. All functions are pure,
-so values can be shared freely between concurrent workers.
+validates its inputs and returns finite values, and a ``ChainSpec`` is
+valid once built. All functions are pure, so values can be shared freely
+between concurrent workers.
 """
 
 from __future__ import annotations
@@ -12,10 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-Matrix = np.ndarray
 
-
-def as_matrix(x) -> Matrix:
+def as_matrix(x) -> np.ndarray:
     """Coerce ``x`` to a 2-D float64 array with positive dims and finite entries."""
     m = np.asarray(x, dtype=np.float64)
     if m.ndim != 2:
@@ -45,6 +44,7 @@ class ChainSpec:
     ``p`` and ``q`` are the output rows/columns; ``inner`` lists the
     intermediate dimensions of the chain, so the number of factors is
     ``r = len(inner) + 1``. An empty ``inner`` describes a single matrix.
+    The constructor enforces closure: the last inner dimension equals the first.
     """
 
     p: int
@@ -57,6 +57,10 @@ class ChainSpec:
         object.__setattr__(
             self, "inner", tuple(_dimension("inner dimension", d) for d in self.inner)
         )
+        if self.inner and self.inner[-1] != self.inner[0]:
+            raise ValueError(
+                f"last inner dimension {self.inner[-1]} must equal the first {self.inner[0]}"
+            )
 
     @property
     def r(self) -> int:
@@ -69,22 +73,3 @@ class ChainSpec:
         if not self.inner:
             raise ValueError("chain with a single factor has no inner dimension")
         return self.inner[0]
-
-    def validate(self, strict: bool = False) -> "ChainSpec":
-        """Structural checks; ``strict`` additionally requires d_i >= max(p, q).
-
-        Chains with three or more factors must close up: the last inner
-        dimension has to equal the first. Returns self so calls chain.
-        """
-        if len(self.inner) >= 2 and self.inner[-1] != self.inner[0]:
-            raise ValueError(
-                f"last inner dimension {self.inner[-1]} must equal the first {self.inner[0]}"
-            )
-        if strict:
-            floor = max(self.p, self.q)
-            if any(d < floor for d in self.inner):
-                raise ValueError(
-                    f"strict mode requires every inner dimension >= max(p, q) = {floor}, "
-                    f"got {self.inner}"
-                )
-        return self

@@ -17,9 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ChainSpec
-from .moments import as_float, mean_h_product, mean_h_product_exact, var_h_product_exact
+from .moments import as_float, mean_h_product_exact, var_h_product_exact
 from .engine import h_samples
 from .sampling import SeedSpec, sample_product, sample_single
+
+# The TV upper bound's multiplier, fixed at 1 as the sweep column name
+# tv_upper_c1 says; every CLI report echoes it under the key "constants".
+TV_UPPER_C = 1.0
 
 
 @dataclass(frozen=True)
@@ -52,12 +56,11 @@ def build_test(spec: ChainSpec) -> TestPlan:
     by 1/sqrt(d1), so its mean and variance are that chain's over d1^2 and
     d1^4.
     """
-    spec.validate()
     if spec.r < 2:
         raise ValueError("test construction needs at least two factors")
     single, d1 = ChainSpec(spec.p, spec.q), spec.d1
     mu_single = as_float(mean_h_product_exact(single) / d1**2, "mu_single")
-    mu_product = mean_h_product(spec)
+    mu_product = as_float(mean_h_product_exact(spec), "mu_product")
     return TestPlan(
         spec=spec,
         mu_single=mu_single,
@@ -149,15 +152,13 @@ def tv_lower_bound_empirical(xs, ys) -> float:
     return float(np.abs(fx - fy).max())
 
 
-def tv_upper_bound(spec: ChainSpec, c: float) -> float:
-    """Chain TV upper bound c * sum_i sqrt(pq/d_i), clamped to 1.
+def tv_upper_bound(spec: ChainSpec) -> float:
+    """Chain TV upper bound c * sum_i sqrt(pq/d_i), clamped to 1, with c = ``TV_UPPER_C``.
 
-    The absolute constant is not pinned by theory; callers choose ``c``
-    (conventionally 1) and should report it alongside the value.
+    Theory does not pin the absolute constant c; it is fixed at 1, and
+    reports echo it alongside the value.
     """
-    if not c > 0:
-        raise ValueError("constant c must be positive")
     if spec.r < 2:
         raise ValueError("upper bound needs at least two factors")
-    total = c * sum(math.sqrt(spec.p * spec.q / d) for d in spec.inner)
+    total = TV_UPPER_C * sum(math.sqrt(spec.p * spec.q / d) for d in spec.inner)
     return min(1.0, total)

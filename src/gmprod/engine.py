@@ -11,8 +11,8 @@ stream ``seed.stream_index + i`` starts in (counter ``(0, 0, stream_index
 draws the same normals in the same order as a Philox built for its
 stream, without building one per trial. Each trial's matrix is checked by
 ``as_matrix`` and stored in one slot of a preallocated stack; the
-statistic then runs as stacked matrix products over the stack, equal bit
-for bit to ``stat_h`` of each matrix. A stack holds at most
+statistic then runs as stacked matrix products over the stack, the only
+place the package computes h. A stack holds at most
 ``_CHUNK_ENTRIES`` matrix entries, which keeps memory bounded; a trial
 with more entries than that runs alone.
 
@@ -34,7 +34,7 @@ from collections.abc import Callable
 
 import numpy as np
 
-from .core import ChainSpec, Matrix, as_matrix
+from .core import ChainSpec, as_matrix
 from .sampling import SeedSpec, stream_rng
 
 # 2**15 float64 entries, 256 KiB per stack.
@@ -56,8 +56,8 @@ def _cpu_count() -> int:
 
 
 def _stacked_h(x: np.ndarray) -> np.ndarray:
-    """h of each matrix of an (m, rows, cols) stack, as ``stat_h`` computes it."""
-    # the Gram factor on the smaller side, as stat_h takes it
+    """h of each matrix of an (m, rows, cols) stack: the squared Frobenius norm of X^T X."""
+    # the Gram factor on the smaller side: X X^T and X^T X share nonzero eigenvalues
     xt = np.swapaxes(x, 1, 2)
     g = xt @ x if x.shape[2] <= x.shape[1] else x @ xt
     return (g * g).reshape(x.shape[0], -1).sum(axis=1)
@@ -93,7 +93,10 @@ def _in_threads(work: Callable[[int], None], count: int) -> None:
 
 
 def h_samples(
-    sample: Callable[[ChainSpec, np.random.Generator], Matrix], spec: ChainSpec, n: int, seed: SeedSpec
+    sample: Callable[[ChainSpec, np.random.Generator], np.ndarray],
+    spec: ChainSpec,
+    n: int,
+    seed: SeedSpec,
 ) -> np.ndarray:
     """h of n trials of ``sample(spec, rng)``, trial i drawn from stream ``seed.stream(i)``.
 

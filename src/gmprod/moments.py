@@ -147,11 +147,6 @@ def as_float(value: Fraction, name: str) -> float:
         ) from None
 
 
-def mean_h_product(spec: ChainSpec) -> float:
-    """Exact mean of the statistic under the product ensemble, as a float."""
-    return as_float(mean_h_product_exact(spec), "mu_product")
-
-
 def var_h_product_exact(spec: ChainSpec) -> Fraction:
     """Exact Var of the statistic for the normalized product chain, as a rational.
 
@@ -173,5 +168,11 @@ def mean_h_asymptotic(spec: ChainSpec) -> float:
         raise ValueError("asymptotic mean needs at least two factors")
     p, q, d1 = spec.p, spec.q, spec.d1
     lead = p * q * (p + q + 1) / d1**2
-    corr = p * q * (p - 1) * (q - 1) / d1**2 * sum(1.0 / d for d in spec.inner)
+    try:
+        inverses = sum(1.0 / d for d in spec.inner)
+    except OverflowError:
+        raise ValueError(
+            "mean_asymptotic needs 1/d of each inner dimension d, and one is too large for a float"
+        ) from None
+    corr = p * q * (p - 1) * (q - 1) / d1**2 * inverses
     return lead + corr

@@ -30,13 +30,15 @@ class OracleBudgetError(RuntimeError):
 
 @dataclass(frozen=True)
 class WickBudget:
-    """Cap on the number of monomials an enumeration may visit."""
+    """Cap on the number of monomials an enumeration may visit, at most 2^63 - 1."""
 
     max_monomials: int = 10_000_000
 
     def __post_init__(self):
         if self.max_monomials < 1:
             raise ValueError("max_monomials must be positive")
+        if self.max_monomials >= 1 << 63:  # past the enumeration's int64 flat index
+            raise ValueError(f"max_monomials must be at most 2^63 - 1, got {self.max_monomials}")
 
     def check(self, count: int, what: str) -> None:
         if count > self.max_monomials:

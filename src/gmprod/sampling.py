@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ChainSpec, Matrix
+from .core import ChainSpec
 
 _U64 = 1 << 64
 # the four-word output block of a Philox that has drawn nothing yet
@@ -69,7 +69,7 @@ def stream_rng(seed: SeedSpec, rng: np.random.Generator) -> np.random.Generator:
     return rng
 
 
-def sample_single(spec: ChainSpec, rng: np.random.Generator) -> Matrix:
+def sample_single(spec: ChainSpec, rng: np.random.Generator) -> np.ndarray:
     """One draw of the single-matrix ensemble: a p x q Gaussian scaled by 1/sqrt(d1).
 
     Requires at least one inner dimension so the normalizer is defined; for
@@ -79,19 +79,18 @@ def sample_single(spec: ChainSpec, rng: np.random.Generator) -> Matrix:
     return scale * rng.standard_normal((spec.p, spec.q))
 
 
-def sample_product(spec: ChainSpec, rng: np.random.Generator) -> Matrix:
+def sample_product(spec: ChainSpec, rng: np.random.Generator) -> np.ndarray:
     """One draw of the product ensemble W_1 W_2 ... W_r.
 
     Factor i is a d_{i-1} x d_i Gaussian scaled by 1/sqrt(d_i), except the
     last factor, which is scaled by 1/sqrt(d1) regardless of its column
-    count; ``spec.validate()`` enforces the closure rule d_{r-1} == d1.
+    count; every ``ChainSpec`` closes up (d_{r-1} == d1) once built.
     Factors are drawn first-to-last from ``rng``, so a generator reset to
     a given stream always replays the identical product.
     """
     r = spec.r
     if r < 2:
         raise ValueError("product ensemble needs at least two factors (nonempty inner)")
-    spec.validate()
     dims = (spec.p, *spec.inner, spec.q)
     d1 = spec.inner[0]
     out = None

@@ -16,6 +16,17 @@ def philox_stream(seed) -> np.random.Generator:
     )
 
 
+def stat_h(x) -> float:
+    """h = tr((X^T X)^2) of one matrix: the reference the trial engine must match bit for bit.
+
+    The squared Frobenius norm of the Gram factor, taken on the smaller side.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    side = x if x.shape[1] <= x.shape[0] else x.T
+    g = side.T @ side
+    return float((g * g).sum())
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260809)

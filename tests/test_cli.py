@@ -156,13 +156,6 @@ class TestMoments:
         code, _, err = run_cli(["moments", "--p", "2", "--q", "2"], capsys)
         assert code == 2
 
-    def test_strict_dims(self, capsys):
-        code, _, err = run_cli(
-            ["moments", "--p", "8", "--q", "8", "--inner", "4", "--strict-dims"], capsys
-        )
-        assert code == 2
-        assert "strict" in err
-
     @pytest.mark.parametrize("inner", ["0", "4,-3"])
     def test_nonpositive_inner_rejected(self, inner, capsys):
         code, out, err = run_cli(["moments", "--p", "2", "--q", "2", "--inner", inner], capsys)
@@ -307,6 +300,15 @@ class TestOracle:
         assert code == 3
         assert "too large for exact oracle" in err
 
+    def test_budget_beyond_the_flat_index_refused(self, capsys):
+        # 10**20 monomials cannot be addressed by an int64 flat index
+        code, out, err = run_cli(
+            ["oracle", "--p", "1", "--q", "1", "--inner", "100000",
+             "--max-monomials", "100000000000000000000"], capsys
+        )
+        assert_refused(code, out, err)
+        assert err.startswith("gmprod: max_monomials must be at most 2^63 - 1")
+
     def test_csv_format_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["oracle", "--p", "2", "--q", "2", "--format", "csv"])
@@ -390,6 +392,27 @@ def test_pinned_output(argv, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, code",
+    [
+        ("moments --p 8 --q 8 --inner 4", 2),
+        ("distinguish --p 8 --q 8 --inner 4 --trials 10", 2),
+        ("sweep --p 8 --q 8 --d-min 4 --d-max 16 --steps 2 --trials 10", 2),
+        ("oracle --p 8 --q 8 --inner 4", 2),
+        ("moments --p 2 --q 3 --inner 3", 0),
+    ],
+    ids=["moments", "distinguish", "sweep", "oracle", "moments-accepted"],
+)
+def test_strict_dims(argv, code, capsys):
+    # every inner dimension must be at least max(p, q); equal to it is enough
+    got, out, err = run_cli(argv.split() + ["--strict-dims"], capsys)
+    if code == 0:
+        assert (got, err) == (0, "") and json.loads(out)["inner"] == [3]
+        return
+    assert_refused(got, out, err)
+    assert err == "gmprod: strict mode requires every inner dimension >= max(p, q) = 8, got (4,)\n"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["moments", "--p", "2", "--q", "2", "--inner", "4"],
@@ -410,18 +433,19 @@ def test_constants_option_removed(argv, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, named",
     [
-        ["moments", "--p", "2", "--q", "2", "--inner", str(10**400)],
-        ["moments", "--p", str(10**400), "--q", "2", "--inner", "4"],
-        ["sweep", "--p", "2", "--q", "2", "--d-min", "4", "--d-max", str(10**80),
-         "--steps", "3", "--trials", "10"],
+        (["moments", "--p", "2", "--q", "2", "--inner", str(10**400)], "mean_asymptotic"),
+        (["moments", "--p", str(10**400), "--q", "2", "--inner", "4"], "mu_single"),
+        (["sweep", "--p", "2", "--q", "2", "--d-min", "4", "--d-max", str(10**80),
+          "--steps", "3", "--trials", "10"], "limit"),
     ],
     ids=["inner", "p", "sweep-d-max"],
 )
-def test_dimension_too_large_for_a_float_rejected(argv, capsys):
+def test_dimension_too_large_for_a_float_rejected(argv, named, capsys):
     code, out, err = run_cli(argv, capsys)
     assert_refused(code, out, err)
+    assert named in err
 
 
 @pytest.mark.parametrize(
@@ -609,7 +633,8 @@ ORACLE_DIMENSION = st.one_of(st.integers(1, 4), st.integers(10**4, 10**30))
     p=ORACLE_DIMENSION,
     q=ORACLE_DIMENSION,
     inner=st.lists(ORACLE_DIMENSION, max_size=2),
-    max_monomials=st.integers(1, 10_000_000),
+    # budgets above 2**63 - 1 are refused before anything is enumerated
+    max_monomials=st.one_of(st.integers(1, 10_000_000), st.integers(2**63, 2**80)),
     fmt=st.sampled_from(["json", "csv"]),
 )
 def test_oracle_contract_holds_for_generated_argv(p, q, inner, max_monomials, fmt):

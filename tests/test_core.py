@@ -29,18 +29,14 @@ class TestChainSpec:
             ChainSpec(2, 3, (0,))
 
     def test_closure_rule(self):
-        ChainSpec(2, 2, (4, 4)).validate()
-        ChainSpec(2, 2, (4, 9, 4)).validate()
-        with pytest.raises(ValueError, match="last inner dimension"):
-            ChainSpec(2, 2, (4, 5)).validate()
+        # checked once, when the chain is built
+        assert ChainSpec(2, 2, (4, 4)).inner == (4, 4)
+        assert ChainSpec(2, 2, (4, 9, 4)).inner == (4, 9, 4)
+        with pytest.raises(ValueError, match="^last inner dimension 5 must equal the first 4$"):
+            ChainSpec(2, 2, (4, 5))
 
     def test_single_inner_always_structural(self):
-        ChainSpec(2, 2, (7,)).validate()
-
-    def test_strict_mode(self):
-        ChainSpec(2, 3, (3,)).validate(strict=True)
-        with pytest.raises(ValueError, match="strict"):
-            ChainSpec(2, 3, (2,)).validate(strict=True)
+        assert ChainSpec(2, 2, (7,)).inner == (7,)
 
     @pytest.mark.parametrize(
         "p, q, inner, expected",

@@ -179,14 +179,10 @@ class TestTvLowerBound:
 
 class TestTvUpperBound:
     def test_single_layer(self):
-        assert tv_upper_bound(ChainSpec(1, 1, (4,)), 1.0) == 0.5
+        assert tv_upper_bound(ChainSpec(1, 1, (4,))) == 0.5
 
     def test_two_layers(self):
-        assert tv_upper_bound(ChainSpec(1, 1, (100, 100)), 1.0) == pytest.approx(0.2, rel=1e-12)
+        assert tv_upper_bound(ChainSpec(1, 1, (100, 100))) == pytest.approx(0.2, rel=1e-12)
 
     def test_clamped(self):
-        assert tv_upper_bound(ChainSpec(8, 8, (16,)), 1.0) == 1.0
-
-    def test_bad_constant(self):
-        with pytest.raises(ValueError):
-            tv_upper_bound(ChainSpec(1, 1, (4,)), 0.0)
+        assert tv_upper_bound(ChainSpec(8, 8, (16,))) == 1.0

@@ -5,12 +5,11 @@ import time
 import numpy as np
 import pytest
 
-from conftest import philox_stream
+from conftest import philox_stream, stat_h
 from gmprod import engine
 from gmprod.core import ChainSpec
 from gmprod.engine import h_samples
 from gmprod.sampling import SeedSpec, sample_product, sample_single, stream_rng
-from gmprod.stats import stat_h
 
 SAMPLERS = {"product": sample_product, "single": sample_single}
 ENSEMBLES = sorted(SAMPLERS)
