@@ -8,6 +8,9 @@ keys) or as CSV (fixed header, LF endings, reals with 17 significant
 digits), and ``oracle`` as JSON only. A re-run with the same configuration
 and seed is byte-identical. Exit status: 0 success, 2 invalid arguments,
 3 exact oracle over budget; every error is one ``gmprod:`` line on stderr.
+
+The argument parser is built once, when this module is imported, and
+every ``main`` call in the process parses with it.
 """
 
 from __future__ import annotations
@@ -241,6 +244,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The ``gmprod`` argument parser.
+
+    Every default is immutable and ``parse_args`` returns a new Namespace
+    without changing the parser, so one parser serves every ``main`` call.
+    """
     parser = _Parser(
         prog="gmprod",
         description="Gaussian matrix product ensembles: moments, distinguishing tests, oracles.",
@@ -288,8 +296,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         report, csv_header, records = args.func(args)
         text = canonical_json(report) if args.format == "json" else _csv_text(csv_header, records)

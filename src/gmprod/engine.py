@@ -5,16 +5,16 @@ drawn by a one-trial sampler (``sample_product`` or ``sample_single``),
 with trial i on stream ``seed.stream_index + i``.
 
 A Philox generator keyed by the master seed serves a run of trials.
-Before trial i, ``stream_rng`` resets it to the state a new generator for
-stream ``seed.stream_index + i`` starts in (counter ``(0, 0, stream_index
-+ i, 0)``, empty buffer), and the sampler draws from it. So each trial
-draws the same normals in the same order as a Philox built for its
-stream, without building one per trial. Each trial's matrix is checked by
-``as_matrix`` and stored in one slot of a preallocated stack; the
-statistic then runs as stacked matrix products over the stack, the only
-place the package computes h. A stack holds at most
-``_CHUNK_ENTRIES`` matrix entries, which keeps memory bounded; a trial
-with more entries than that runs alone.
+Before trial i, ``stream_rng(seed, rng, i)`` resets it to the state a
+new generator for stream ``seed.stream_index + i`` starts in (counter
+``(0, 0, stream_index + i, 0)``, empty buffer), and the sampler draws
+from it. So each trial draws the same normals in the same order as a
+Philox built for its stream, without building one per trial, nor a
+``SeedSpec``. Each trial's matrix is checked by ``as_matrix`` and stored
+in one slot of a preallocated stack; the statistic then runs as stacked
+matrix products over the stack, the only place the package computes h.
+A stack holds at most ``_CHUNK_ENTRIES`` matrix entries, which keeps
+memory bounded; a trial with more entries than that runs alone.
 
 Trials of a chain that draws at least ``_PARALLEL_NORMALS`` normals per
 trial are drawn on every CPU the process may run on: each chunk is split
@@ -98,7 +98,7 @@ def h_samples(
     n: int,
     seed: SeedSpec,
 ) -> np.ndarray:
-    """h of n trials of ``sample(spec, rng)``, trial i drawn from stream ``seed.stream(i)``.
+    """h of n trials of ``sample(spec, rng)``, trial i on stream ``seed.stream_index + i``.
 
     Raises ValueError, before drawing anything, when one trial of the
     chain would draw more than ``_MAX_TRIAL_NORMALS`` normals or its
@@ -129,7 +129,7 @@ def h_samples(
         def draw(w: int) -> None:
             # worker w fills the w-th of `count` contiguous blocks of the chunk
             for t in range(m * w // count, m * (w + 1) // count):
-                stack[t] = as_matrix(sample(spec, stream_rng(seed.stream(first + t), rngs[w])))
+                stack[t] = as_matrix(sample(spec, stream_rng(seed, rngs[w], first + t)))
 
         _in_threads(draw, count)
         out[first : first + m] = _stacked_h(stack[:m])

@@ -6,10 +6,10 @@ stream index selecting a disjoint counter block, so a stream is a pure
 function of the seed pair and trials can run concurrently in any order
 without changing aggregate results; the trial engine draws trials on
 several threads this way, each thread with a generator of its own.
-``stream_rng(seed, rng)`` is the one
-place a ``SeedSpec`` becomes a stream: it resets a Philox generator to the
-state a new one for that stream starts in. The samplers draw from the
-generator they are handed. Normal variates come from numpy's ziggurat
+``stream_rng(seed, rng, offset)`` is the one place a ``SeedSpec`` becomes
+a stream: it resets a Philox generator to the state a new one for stream
+``stream_index + offset`` starts in. The samplers draw from the generator
+they are handed. Normal variates come from numpy's ziggurat
 implementation of ``Generator.standard_normal``; outputs are
 bit-reproducible for a pinned numpy version.
 """
@@ -28,6 +28,11 @@ _U64 = 1 << 64
 _EMPTY_BUFFER = (0, 0, 0, 0)
 
 
+def _check_u64(name: str, value) -> None:
+    if not isinstance(value, int) or not 0 <= value < _U64:
+        raise ValueError(f"{name} must be an unsigned 64-bit integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SeedSpec:
     """Identifies one random stream: a master seed plus a trial index."""
@@ -36,31 +41,34 @@ class SeedSpec:
     stream_index: int = 0
 
     def __post_init__(self):
-        for name, value in (("master_seed", self.master_seed), ("stream_index", self.stream_index)):
-            if not isinstance(value, int) or not 0 <= value < _U64:
-                raise ValueError(f"{name} must be an unsigned 64-bit integer, got {value!r}")
+        _check_u64("master_seed", self.master_seed)
+        _check_u64("stream_index", self.stream_index)
 
     def stream(self, offset: int) -> "SeedSpec":
         """Seed for the stream ``offset`` positions after this one."""
         return SeedSpec(self.master_seed, self.stream_index + offset)
 
 
-def stream_rng(seed: SeedSpec, rng: np.random.Generator) -> np.random.Generator:
-    """Reset ``rng``, a Generator over a Philox, to the stream named by ``seed``.
+def stream_rng(seed: SeedSpec, rng: np.random.Generator, offset: int = 0) -> np.random.Generator:
+    """Reset ``rng``, a Generator over a Philox, to stream ``seed.stream_index + offset``.
 
     The master seed keys Philox; the stream index selects a disjoint
     2**128-long counter block, so distinct indices never overlap. The bit
     generator gets the state a new Philox for this stream starts in
-    (counter ``(0, 0, stream_index, 0)``, empty buffer), and ``rng``
-    itself is returned. The reset costs several times less than building
-    a Philox.
+    (counter ``(0, 0, stream_index + offset, 0)``, empty buffer), and
+    ``rng`` itself is returned. The reset costs several times less than
+    building a Philox. ``stream_rng(seed, rng, k)`` resets to the stream
+    of ``seed.stream(k)`` without building that ``SeedSpec``; an index
+    outside ``[0, 2**64)`` raises ValueError.
     """
     bit_generator = rng.bit_generator
     if not isinstance(bit_generator, np.random.Philox):
         raise TypeError(f"can only reset a Philox stream, got {type(bit_generator).__name__}")
+    index = seed.stream_index + offset
+    _check_u64("stream_index", index)
     bit_generator.state = {
         "bit_generator": type(bit_generator).__name__,
-        "state": {"counter": (0, 0, seed.stream_index, 0), "key": (seed.master_seed, 0)},
+        "state": {"counter": (0, 0, index, 0), "key": (seed.master_seed, 0)},
         "buffer": _EMPTY_BUFFER,
         "buffer_pos": 4,
         "has_uint32": 0,

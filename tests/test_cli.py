@@ -3,11 +3,16 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gmprod
 from gmprod.cli import _csv_text, canonical_json, main
 
 MOMENTS_HEADER = [
@@ -101,6 +106,14 @@ p,q,inner,mean_product,mean_asymptotic,mean_single,var_single,var_product,s1,s2,
   "wick_mean": "264/125"
 }
 """,
+}
+
+
+# argvs the parser refuses (exit 2), with the case each one covers
+USAGE_ERRORS = {
+    "missing-option": ["distinguish", "--q", "2", "--inner", "4"],
+    "not-an-int": ["moments", "--p", "x", "--q", "2", "--inner", "4"],
+    "unknown-subcommand": ["bogus"],
 }
 
 
@@ -369,15 +382,7 @@ class TestSeedHandling:
             main(["distinguish", "--q", "2", "--inner", "4"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["distinguish", "--q", "2", "--inner", "4"],
-            ["moments", "--p", "x", "--q", "2", "--inner", "4"],
-            ["bogus"],
-        ],
-        ids=["missing-option", "not-an-int", "unknown-subcommand"],
-    )
+    @pytest.mark.parametrize("argv", list(USAGE_ERRORS.values()), ids=list(USAGE_ERRORS))
     def test_argparse_errors_print_one_line(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -389,6 +394,41 @@ class TestSeedHandling:
 @pytest.mark.parametrize("argv", list(PINNED_OUTPUT), ids=list(PINNED_OUTPUT))
 def test_pinned_output(argv, capsys):
     assert run_cli(argv.split(), capsys) == (0, PINNED_OUTPUT[argv], "")
+
+
+def in_process(argv):
+    """Exit status, stdout and stderr of ``main(argv)`` in this process, usage errors included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse errors
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def in_fresh_interpreter(argv):
+    """Exit status, stdout and stderr of ``main(argv)`` in a new Python process."""
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; from gmprod.cli import main; sys.exit(main(sys.argv[1:]))",
+         *argv],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(Path(gmprod.__file__).parents[1])},
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_one_parser_serves_every_call():
+    # The parser is built once per process: refusals, then every pinned
+    # argv, then the refusals again, each with the bytes a first call gives.
+    refused = {tuple(argv): in_fresh_interpreter(argv) for argv in USAGE_ERRORS.values()}
+    assert all(code == 2 for code, _, _ in refused.values())
+    for argv, expected in refused.items():
+        assert in_process(list(argv)) == expected
+    for argv, text in PINNED_OUTPUT.items():
+        assert in_process(argv.split()) == (0, text, "")
+    for argv, expected in refused.items():
+        assert in_process(list(argv)) == expected
 
 
 @pytest.mark.parametrize(
@@ -487,13 +527,7 @@ def run_generated(argv):
     The exit status is 0, 2 or 3; a failure leaves stdout empty and one
     ``gmprod:`` line on stderr, and a success leaves stderr empty.
     """
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse errors
-            code = exc.code
-    out, err = out.getvalue(), err.getvalue()
+    code, out, err = in_process(argv)
     assert code in {0, 2, 3}
     if code != 0:
         assert_refused(code, out, err, status=code)

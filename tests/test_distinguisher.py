@@ -35,10 +35,6 @@ class TestBuildTest:
         plan = build_test(ChainSpec(1, 1, (4,)))
         assert plan.mu_product > plan.mu_single
 
-    def test_structural_violation_rejected(self):
-        with pytest.raises(ValueError):
-            build_test(ChainSpec(2, 2, (4, 5)))
-
     def test_single_factor_rejected(self):
         with pytest.raises(ValueError):
             build_test(ChainSpec(2, 2))

@@ -238,10 +238,6 @@ class TestChecks:
         with pytest.raises(ValueError):
             batch_h("single", ChainSpec(2, 2), 5, SeedSpec(0))
 
-    def test_product_validates_closure(self):
-        with pytest.raises(ValueError, match="last inner dimension"):
-            batch_h("product", ChainSpec(2, 2, (4, 5)), 5, SeedSpec(0))
-
     @pytest.mark.parametrize("n", [0, -1])
     def test_needs_a_trial(self, n):
         with pytest.raises(ValueError):
@@ -282,6 +278,20 @@ class TestStreamReset:
         rng = np.random.Generator(np.random.Philox())
         for sample in (sample_product, sample_single, sample_product):
             assert np.array_equal(sample(spec, stream_rng(seed, rng)), sample(spec, philox_stream(seed)))
+
+    @pytest.mark.parametrize("offset", [0, 1, 2**32])
+    def test_offset_replays_the_later_stream(self, offset):
+        seed = SeedSpec(12, 7)
+        rng = np.random.Generator(np.random.Philox())
+        stream_rng(seed, rng, offset)
+        fresh = stream_rng(seed.stream(offset), np.random.Generator(np.random.Philox()))
+        assert repr(rng.bit_generator.state) == repr(fresh.bit_generator.state)
+        assert np.array_equal(rng.standard_normal(11), fresh.standard_normal(11))
+
+    @pytest.mark.parametrize("seed, offset", [(SeedSpec(0, 2**64 - 1), 1), (SeedSpec(0, 3), -4)])
+    def test_offset_outside_64_bits_refused(self, seed, offset):
+        with pytest.raises(ValueError, match="stream_index"):
+            stream_rng(seed, np.random.Generator(np.random.Philox()), offset)
 
     def test_only_philox_is_reset(self):
         with pytest.raises(TypeError, match="Philox"):

@@ -141,10 +141,6 @@ class TestSampleProduct:
         single = scales[0] * philox_stream(seed).standard_normal((spec.p, spec.q))
         assert np.array_equal(sample_single(spec, philox_stream(seed)), single)
 
-    def test_structural_violation_rejected(self):
-        with pytest.raises(ValueError):
-            sample_product(ChainSpec(2, 2, (4, 5)), philox_stream(SeedSpec(0)))
-
     def test_single_factor_rejected(self):
         with pytest.raises(ValueError):
             sample_product(ChainSpec(2, 2), philox_stream(SeedSpec(0)))
