@@ -8,7 +8,6 @@ from .distinguisher import (
     chebyshev_error,
     classify,
     draw_h_samples,
-    empirical_power,
     power_from_samples,
     tv_lower_bound_empirical,
     tv_upper_bound,
@@ -16,19 +15,14 @@ from .distinguisher import (
 from .engine import h_samples
 from .moments import (
     MomentVector,
-    base_gaussian_moments,
     closed_form_moments,
-    layer_update,
     mean_h_asymptotic,
     mean_h_product_exact,
     var_h_product_exact,
 )
 from .oracle import (
-    CIEstimate,
     OracleBudgetError,
     WickBudget,
-    mc_mean,
-    mc_variance,
     wick_exact_mean_h,
     wick_exact_var_h_single,
 )
@@ -44,25 +38,19 @@ __all__ = [
     "sample_product",
     "h_samples",
     "MomentVector",
-    "base_gaussian_moments",
-    "layer_update",
     "closed_form_moments",
     "mean_h_product_exact",
     "mean_h_asymptotic",
     "var_h_product_exact",
     "WickBudget",
-    "CIEstimate",
     "OracleBudgetError",
     "wick_exact_mean_h",
     "wick_exact_var_h_single",
-    "mc_mean",
-    "mc_variance",
     "TestPlan",
     "PowerReport",
     "build_test",
     "classify",
     "chebyshev_error",
-    "empirical_power",
     "power_from_samples",
     "draw_h_samples",
     "tv_lower_bound_empirical",

@@ -31,7 +31,6 @@ from .distinguisher import (
     TV_UPPER_C,
     build_test,
     draw_h_samples,
-    empirical_power,
     power_from_samples,
     tv_lower_bound_empirical,
     tv_upper_bound,
@@ -123,8 +122,6 @@ def _frac_str(f: Fraction) -> str:
 
 def cmd_moments(args):
     spec = _spec_from(args, _parse_inner(args.inner))
-    if spec.r < 2:
-        raise ValueError("moments requires at least one inner dimension")
     plan = build_test(spec)
     s = closed_form_moments(spec.inner)
     report = {
@@ -145,12 +142,10 @@ def cmd_moments(args):
 def cmd_distinguish(args):
     seed = _seed(args)
     spec = _spec_from(args, _parse_inner(args.inner))
-    if spec.r < 2:
-        raise ValueError("distinguish requires at least one inner dimension")
     if args.trials < 10:
         raise ValueError("distinguish requires at least 10 trials per ensemble")
     plan = build_test(spec)
-    report_values = empirical_power(spec, args.trials, SeedSpec(seed), plan)
+    report_values = power_from_samples(*draw_h_samples(spec, args.trials, SeedSpec(seed)), plan)
     report = {
         "p": spec.p,
         "q": spec.q,
@@ -307,8 +302,9 @@ def main(argv=None) -> int:
     except OracleBudgetError as exc:
         print(f"gmprod: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OverflowError) as exc:
-        # OverflowError: a dimension too large to convert to a float
+    except (ValueError, OverflowError, MemoryError) as exc:
+        # OverflowError: a dimension too large to convert to a float;
+        # MemoryError: a --trials or --steps too large to allocate
         print(f"gmprod: {exc}", file=sys.stderr)
         return 2
     if args.out:

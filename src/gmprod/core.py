@@ -71,5 +71,5 @@ class ChainSpec:
     def d1(self) -> int:
         """First inner dimension; it also normalizes the last factor."""
         if not self.inner:
-            raise ValueError("chain with a single factor has no inner dimension")
+            raise ValueError("a chain needs at least two factors; this one has no inner dimension")
         return self.inner[0]

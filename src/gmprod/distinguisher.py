@@ -56,8 +56,6 @@ def build_test(spec: ChainSpec) -> TestPlan:
     by 1/sqrt(d1), so its mean and variance are that chain's over d1^2 and
     d1^4.
     """
-    if spec.r < 2:
-        raise ValueError("test construction needs at least two factors")
     single, d1 = ChainSpec(spec.p, spec.q), spec.d1
     mu_single = as_float(mean_h_product_exact(single) / d1**2, "mu_single")
     mu_product = as_float(mean_h_product_exact(spec), "mu_product")
@@ -122,17 +120,6 @@ def power_from_samples(h_product, h_single, plan: TestPlan) -> PowerReport:
         false_negative_rate=fnr,
         chebyshev_error_bound=chebyshev_error(plan),
     )
-
-
-def empirical_power(
-    spec: ChainSpec, n: int, seed: SeedSpec, plan: TestPlan | None = None
-) -> PowerReport:
-    """Classify n draws from each ensemble and report the error rates."""
-    if n < 10:
-        raise ValueError("power estimation needs at least 10 trials per ensemble")
-    if plan is None:
-        plan = build_test(spec)
-    return power_from_samples(*draw_h_samples(spec, n, seed), plan)
 
 
 def tv_lower_bound_empirical(xs, ys) -> float:

@@ -9,8 +9,8 @@ d^2 (mean) or d^4 (variance).
 
 The six fourth-order invariant moments of a bi-rotationally invariant
 ensemble (``MomentVector``) are only printed: appending one Gaussian
-factor maps them linearly (``layer_update``), and ``closed_form_moments``
-folds that map over the whole chain in one pass, in exact integers.
+factor maps them linearly, and ``closed_form_moments`` folds that map
+over the whole chain in one pass, in exact integers.
 """
 
 from __future__ import annotations
@@ -45,31 +45,11 @@ class MomentVector:
         return (self.s1, self.s2, self.s3, self.s4, self.s5, self.s6)
 
 
-def base_gaussian_moments() -> MomentVector:
-    """Moments of a single unnormalized Gaussian matrix: (3, 3, 1, 1, 1, 0)."""
-    return MomentVector(3, 3, 1, 1, 1, 0)
-
-
-def layer_update(t: MomentVector, d: int) -> MomentVector:
-    """Moments of B G for B with moments ``t`` and G a d-column Gaussian.
-
-    The update is linear and keeps s1 == s2 (appending a Gaussian factor
-    equalizes diagonal and off-diagonal fourth moments).
-    """
-    s1 = 3 * d * t.s1 + 3 * d * (d - 1) * t.s4
-    s3 = 3 * d * t.s3 + d * (d - 1) * t.s5 + 2 * d * (d - 1) * t.s6
-    s4 = d * t.s1 + d * (d - 1) * t.s4
-    s5 = d * t.s3 + d * (d - 1) * t.s5
-    s6 = d * t.s3 + d * (d - 1) * t.s6
-    return MomentVector(s1, s1, s3, s4, s5, s6)
-
-
 def closed_form_moments(inner) -> MomentVector:
     """Moments of the full unnormalized chain with the given inner dimensions.
 
-    Equivalent to folding ``layer_update`` over ``inner`` starting from the
-    single-Gaussian base; an empty list returns the base itself. One pass:
-    s4 is the running product of d(d+2), and each layer maps s6 to
+    An empty list gives the single-Gaussian base (3, 3, 1, 1, 1, 0). One
+    pass: s4 is the running product of d(d+2), and each layer maps s6 to
     s6 d(d-1) + s4 d with the s4 of the layers before it.
     """
     s4, s6 = 1, 0
@@ -164,8 +144,6 @@ def mean_h_asymptotic(spec: ChainSpec) -> float:
     pq(p+q+1)/d1^2 plus the pq(p-1)(q-1)/d1^2 * sum(1/d_j) correction that
     separates the product from a single Gaussian.
     """
-    if spec.r < 2:
-        raise ValueError("asymptotic mean needs at least two factors")
     p, q, d1 = spec.p, spec.q, spec.d1
     lead = p * q * (p + q + 1) / d1**2
     try:

@@ -1,15 +1,13 @@
-"""Independent ground-truth engines for the analytic formulas.
+"""Exact ground truth for the analytic formulas, by Wick enumeration.
 
-Two kinds of oracle live here. The exact one expands the statistic into
-monomials in individual Gaussian entries and evaluates each monomial by
-independence: distinct entries factor, and a single standard normal entry
-raised to the k-th power contributes (k-1)!! for even k and 0 for odd k.
-Every monomial is visited, in blocks of ``_BLOCK_MONOMIALS`` decoded from a
-flat index and reduced in exact numpy integer arithmetic, so memory stays
-fixed; time grows with the monomial count (p^2 q^2 d^4 for a two-factor
-mean, (p^2 q^2)^2 for a variance), which ``WickBudget`` caps. Chains have
-at most two factors; Monte Carlo estimators with standard errors cover
-everything else.
+The oracle expands the statistic into monomials in individual Gaussian
+entries and evaluates each monomial by independence: distinct entries
+factor, and a single standard normal entry raised to the k-th power
+contributes (k-1)!! for even k and 0 for odd k. Every monomial is visited,
+in blocks of ``_BLOCK_MONOMIALS`` decoded from a flat index and reduced in
+exact numpy integer arithmetic, so memory stays fixed; time grows with the
+monomial count (p^2 q^2 d^4 for a two-factor mean, (p^2 q^2)^2 for a
+variance), which ``WickBudget`` caps. Chains have at most two factors.
 """
 
 from __future__ import annotations
@@ -46,13 +44,6 @@ class WickBudget:
                 f"{what} needs {count} monomials, over the budget of {self.max_monomials}; "
                 "too large for exact oracle"
             )
-
-
-@dataclass(frozen=True)
-class CIEstimate:
-    estimate: float
-    std_error: float
-    n: int
 
 
 def _moment_sum(rows: np.ndarray) -> int:
@@ -128,42 +119,3 @@ def wick_exact_var_h_single(p: int, q: int, budget: WickBudget = WickBudget()) -
     mean = _enumerate((q, q, p, p), lambda *ix: _term(*ix, q))
     return Fraction(second - mean * mean)
 
-
-def _batch(values, least: int, what: str) -> np.ndarray:
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 1 or values.size < least:
-        raise ValueError(f"{what} needs a 1-D batch of at least {least} trials")
-    return values
-
-
-def mc_mean(values) -> CIEstimate:
-    """Sample mean of a batch of statistic values, with its standard error.
-
-    ``values`` holds one value per independently seeded trial, typically
-    from ``engine.h_samples``.
-    """
-    values = _batch(values, 2, "mean estimation")
-    n = values.size
-    return CIEstimate(
-        estimate=float(values.mean()),
-        std_error=float(values.std(ddof=1) / np.sqrt(n)),
-        n=n,
-    )
-
-
-def mc_variance(values) -> CIEstimate:
-    """Unbiased sample variance of a batch of statistic values, with a jackknife standard error."""
-    values = _batch(values, 10, "variance estimation")
-    n = values.size
-    centered = values - values.mean()
-    total_sq = float((centered * centered).sum())
-    # leave-one-out unbiased variances, vectorized over the left-out index
-    loo_mean = -centered / (n - 1)
-    loo_ss = total_sq - centered * centered - (n - 1) * loo_mean * loo_mean
-    loo_var = loo_ss / (n - 2)
-    jack_se = np.sqrt((n - 1) / n * ((loo_var - loo_var.mean()) ** 2).sum())
-    return CIEstimate(
-        estimate=total_sq / (n - 1),
-        std_error=float(jack_se),
-        n=n,
-    )

@@ -96,11 +96,8 @@ def sample_product(spec: ChainSpec, rng: np.random.Generator) -> np.ndarray:
     Factors are drawn first-to-last from ``rng``, so a generator reset to
     a given stream always replays the identical product.
     """
-    r = spec.r
-    if r < 2:
-        raise ValueError("product ensemble needs at least two factors (nonempty inner)")
+    d1, r = spec.d1, spec.r
     dims = (spec.p, *spec.inner, spec.q)
-    d1 = spec.inner[0]
     out = None
     for i in range(r):
         w = rng.standard_normal((dims[i], dims[i + 1]))

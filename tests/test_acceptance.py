@@ -14,20 +14,16 @@ import numpy as np
 from gmprod.cli import main
 from gmprod.core import ChainSpec
 from gmprod.distinguisher import (
+    build_test,
     draw_h_samples,
-    empirical_power,
+    power_from_samples,
     tv_lower_bound_empirical,
 )
 from gmprod.engine import h_samples
-from gmprod.moments import (
-    base_gaussian_moments,
-    closed_form_moments,
-    layer_update,
-    mean_h_product_exact,
-    var_h_product_exact,
-)
-from gmprod.oracle import mc_mean, mc_variance, wick_exact_mean_h, wick_exact_var_h_single
+from gmprod.moments import closed_form_moments, mean_h_product_exact, var_h_product_exact
+from gmprod.oracle import wick_exact_mean_h, wick_exact_var_h_single
 from gmprod.sampling import SeedSpec, sample_product, sample_single
+from references import base_gaussian_moments, layer_update, mc_mean, mc_variance
 
 
 def check(criterion: str, ok: bool, detail: str = ""):
@@ -106,7 +102,8 @@ def test_05_monte_carlo_variance_reproduction():
 
 
 def test_06_distinguishable_regime():
-    rep = empirical_power(ChainSpec(32, 32, (64,)), 400, SeedSpec(0))
+    spec = ChainSpec(32, 32, (64,))
+    rep = power_from_samples(*draw_h_samples(spec, 400, SeedSpec(0)), build_test(spec))
     check(
         "6 distinguishable regime",
         rep.accuracy >= 0.70,
@@ -116,7 +113,7 @@ def test_06_distinguishable_regime():
 
 def test_07_indistinguishable_regime():
     spec = ChainSpec(8, 8, (2048,))
-    rep = empirical_power(spec, 400, SeedSpec(0))
+    rep = power_from_samples(*draw_h_samples(spec, 400, SeedSpec(0)), build_test(spec))
     hp, hs = draw_h_samples(spec, 10_000, SeedSpec(1))
     tv = tv_lower_bound_empirical(hp, hs)
     check(

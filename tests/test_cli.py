@@ -521,6 +521,35 @@ def test_trial_above_the_size_limit_rejected(argv, capsys):
     assert "limit" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["moments", "--p", "2", "--q", "2"],
+        ["distinguish", "--p", "2", "--q", "2", "--trials", "10"],
+    ],
+    ids=["moments", "distinguish"],
+)
+def test_chain_without_inner_dimension_refused(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert_refused(code, out, err)
+    assert "two factors" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # 10**15 float64 values is 7 PiB, past the x86-64 address space, so
+        # numpy's allocation fails at once and touches no memory
+        ["distinguish", "--p", "2", "--q", "2", "--inner", "4", "--trials", str(10**15)],
+        ["sweep", "--p", "1", "--q", "1", "--d-min", "1", "--d-max", "2", "--steps", str(10**15)],
+    ],
+    ids=["distinguish-trials", "sweep-steps"],
+)
+def test_allocation_too_large_refused(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert_refused(code, out, err)
+
+
 def run_generated(argv):
     """stdout of ``main(argv)`` if it succeeded, else None once the failure contract holds.
 

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from gmprod.core import ChainSpec, as_matrix
+from gmprod.distinguisher import build_test
+from gmprod.moments import mean_h_asymptotic
+from gmprod.sampling import sample_product, sample_single
 
 
 def test_as_matrix_rejects_bad_shapes():
@@ -21,6 +24,22 @@ class TestChainSpec:
         assert ChainSpec(2, 3, (5, 7, 5)).d1 == 5
         with pytest.raises(ValueError):
             ChainSpec(2, 3).d1
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda spec: sample_product(spec, np.random.default_rng(0)),
+            lambda spec: sample_single(spec, np.random.default_rng(0)),
+            build_test,
+            mean_h_asymptotic,
+        ],
+        ids=["sample_product", "sample_single", "build_test", "mean_h_asymptotic"],
+    )
+    def test_single_factor_refused_through_d1(self, call):
+        # the two-factor rule lives in ChainSpec.d1; every caller that needs
+        # an inner dimension reaches it before drawing or computing anything
+        with pytest.raises(ValueError, match="two factors"):
+            call(ChainSpec(2, 2))
 
     def test_positivity_enforced(self):
         with pytest.raises(ValueError):

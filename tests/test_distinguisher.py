@@ -10,12 +10,16 @@ from gmprod.distinguisher import (
     chebyshev_error,
     classify,
     draw_h_samples,
-    empirical_power,
     power_from_samples,
     tv_lower_bound_empirical,
     tv_upper_bound,
 )
 from gmprod.sampling import SeedSpec
+
+
+def drawn_power(spec, n, seed):
+    """The report ``distinguish`` prints for n draws from each ensemble."""
+    return power_from_samples(*draw_h_samples(spec, n, seed), build_test(spec))
 
 
 class TestBuildTest:
@@ -95,28 +99,26 @@ class TestChebyshevError:
         # up to binomial noise; the first two specs clamp it to 1, the
         # last (0.518) does not
         n = 400
-        rep = empirical_power(spec, n, SeedSpec(0))
+        rep = drawn_power(spec, n, SeedSpec(0))
         noise = 3 * math.sqrt(0.25 / n)
         assert rep.chebyshev_error_bound >= max(rep.false_positive_rate,
                                                 rep.false_negative_rate) - noise
 
 
 class TestEmpiricalPower:
+    """Error rates of the threshold test on drawn statistic values."""
+
     def test_deterministic(self):
         spec = ChainSpec(4, 4, (16,))
-        a = empirical_power(spec, 50, SeedSpec(3, 100))
-        b = empirical_power(spec, 50, SeedSpec(3, 100))
+        a = drawn_power(spec, 50, SeedSpec(3, 100))
+        b = drawn_power(spec, 50, SeedSpec(3, 100))
         assert a == b
 
     def test_accuracy_identity(self):
-        rep = empirical_power(ChainSpec(4, 4, (16,)), 80, SeedSpec(5))
+        rep = drawn_power(ChainSpec(4, 4, (16,)), 80, SeedSpec(5))
         assert rep.accuracy == pytest.approx(
             1 - (rep.false_positive_rate + rep.false_negative_rate) / 2, abs=1e-15
         )
-
-    def test_too_few_trials(self):
-        with pytest.raises(ValueError):
-            empirical_power(ChainSpec(2, 2, (4,)), 5, SeedSpec(0))
 
     def test_rates_from_samples(self):
         # ties go to "single": the product draw at the threshold is a false negative
@@ -127,8 +129,8 @@ class TestEmpiricalPower:
         assert rep.chebyshev_error_bound == chebyshev_error(plan)
 
     def test_easy_regime_beats_hard_regime(self):
-        easy = empirical_power(ChainSpec(32, 32, (64,)), 100, SeedSpec(7))
-        hard = empirical_power(ChainSpec(8, 8, (2048,)), 100, SeedSpec(7))
+        easy = drawn_power(ChainSpec(32, 32, (64,)), 100, SeedSpec(7))
+        hard = drawn_power(ChainSpec(8, 8, (2048,)), 100, SeedSpec(7))
         assert easy.accuracy > hard.accuracy
 
     def test_product_and_single_batches_are_disjoint_streams(self):
