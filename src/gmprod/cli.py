@@ -176,6 +176,11 @@ def cmd_sweep(args):
         raise ValueError("sweep needs at least 2 steps")
     if args.trials < 10:
         raise ValueError("sweep requires at least 10 trials per ensemble")
+    if args.steps > args.d_max - args.d_min + 1:
+        raise ValueError(
+            f"{args.steps} steps from {args.d_min} to {args.d_max} must repeat a value: the range "
+            f"holds only {args.d_max - args.d_min + 1} distinct values of d; use fewer steps"
+        )
     # through float: numpy cannot take the log of an int above 2**64
     grid = [int(round(d)) for d in np.geomspace(float(args.d_min), float(args.d_max), args.steps)]
     if len(set(grid)) < len(grid):

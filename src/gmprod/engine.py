@@ -4,26 +4,26 @@
 drawn by a one-trial sampler (``sample_product`` or ``sample_single``),
 with trial i on stream ``seed.stream_index + i``.
 
-A Philox generator keyed by the master seed serves a run of trials.
-Before trial i, ``stream_rng(seed, rng, i)`` resets it to the state a
-new generator for stream ``seed.stream_index + i`` starts in (counter
-``(0, 0, stream_index + i, 0)``, empty buffer), and the sampler draws
-from it. So each trial draws the same normals in the same order as a
-Philox built for its stream, without building one per trial, nor a
-``SeedSpec``. Each trial's matrix is checked by ``as_matrix`` and stored
-in one slot of a preallocated stack; the statistic then runs as stacked
-matrix products over the stack, the only place the package computes h.
-A stack holds at most ``_CHUNK_ENTRIES`` matrix entries, which keeps
-memory bounded; a trial with more entries than that runs alone.
+The n trials are split once into contiguous blocks, one per worker; the
+calling thread is worker 0. A worker owns a Philox generator keyed by the
+master seed and a stack, and walks its block in chunks. Before trial i,
+``stream_rng(seed, rng, i)`` resets the generator to the state a new
+generator for stream ``seed.stream_index + i`` starts in, so the trial
+draws the same normals as a Philox built for its stream, without building
+one. Each trial's matrix is checked by ``as_matrix`` into one slot of the
+stack; the statistic then runs as stacked matrix products over the chunk,
+the only place the package computes h. A stack holds at most
+``_CHUNK_ENTRIES`` matrix entries, so a larger trial runs alone.
 
-Trials of a chain that draws at least ``_PARALLEL_NORMALS`` normals per
-trial are drawn on every CPU the process may run on: each chunk is split
-into contiguous blocks of trials, one per worker thread, and each worker
-owns a Philox of its own. numpy's normal fill loop, large ufuncs and BLAS
-release the interpreter lock, so the draws overlap. Since a trial's
-values depend on its stream alone, the output is the same bit for bit
-whatever the number of workers. No trial may draw or store more than
-``_MAX_TRIAL_NORMALS`` values. None of these limits is a setting.
+A chain that draws at least ``_PARALLEL_NORMALS`` normals per trial gets
+one worker per CPU the process may run on, but no more than a chunk holds
+trials; other chains run on the calling thread. Worker threads start once
+per call and are joined before it returns, also on error. numpy's normal
+fill loop, large ufuncs and BLAS release the interpreter lock, so the
+draws overlap. A trial's values depend on its stream alone, so the output
+is the same bit for bit whatever the number of workers. No trial may draw
+or store more than ``_MAX_TRIAL_NORMALS`` values. None of these limits is
+a setting.
 """
 
 from __future__ import annotations
@@ -63,35 +63,6 @@ def _stacked_h(x: np.ndarray) -> np.ndarray:
     return (g * g).reshape(x.shape[0], -1).sum(axis=1)
 
 
-def _in_threads(work: Callable[[int], None], count: int) -> None:
-    """Run ``work(0)`` .. ``work(count - 1)`` at once, ``work(0)`` on the calling thread.
-
-    Every thread started is joined before this returns, also on error.
-    If calls raise, the error of the lowest-numbered one is raised.
-    """
-    errors: list[BaseException | None] = [None] * count
-
-    def run(w: int) -> None:
-        try:
-            work(w)
-        except BaseException as exc:  # handed to the calling thread below
-            errors[w] = exc
-
-    threads = []
-    try:
-        for w in range(1, count):
-            thread = threading.Thread(target=run, args=(w,))
-            thread.start()
-            threads.append(thread)
-        run(0)
-    finally:
-        for thread in threads:
-            thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-
-
 def h_samples(
     sample: Callable[[ChainSpec, np.random.Generator], np.ndarray],
     spec: ChainSpec,
@@ -115,22 +86,41 @@ def h_samples(
             f"the limit is {_MAX_TRIAL_NORMALS} values per trial"
         )
     chunk = max(1, min(n, _CHUNK_ENTRIES // (spec.p * spec.q)))
+    # a chain whose matrix fills a stack alone (p*q > 2**14) gets chunks of one
+    # trial, so it stays on one thread: threading it measured up to 2.4x slower
     workers = min(_cpu_count(), chunk) if normals >= _PARALLEL_NORMALS else 1
-    # one generator per worker, built per call through np.random.Philox,
-    # never cached at import
     key = np.array([seed.master_seed, 0], dtype=np.uint64)
-    rngs = [np.random.Generator(np.random.Philox(key=key)) for _ in range(workers)]
-    stack = np.empty((chunk, spec.p, spec.q))
     out = np.empty(n)
-    for first in range(0, n, chunk):
-        m = min(chunk, n - first)
-        count = min(workers, m)
+    errors: list[BaseException | None] = [None] * workers
 
-        def draw(w: int) -> None:
-            # worker w fills the w-th of `count` contiguous blocks of the chunk
-            for t in range(m * w // count, m * (w + 1) // count):
-                stack[t] = as_matrix(sample(spec, stream_rng(seed, rngs[w], first + t)))
+    def work(w: int) -> None:
+        """Draw the w-th of ``workers`` contiguous blocks of trials, chunk by chunk."""
+        try:
+            start, stop = n * w // workers, n * (w + 1) // workers
+            # built per call through np.random.Philox, never cached at import
+            rng = np.random.Generator(np.random.Philox(key=key))
+            stack = np.empty((min(chunk, stop - start), spec.p, spec.q))
+            for first in range(start, stop, chunk):
+                m = min(chunk, stop - first)
+                for t in range(m):
+                    stack[t] = as_matrix(sample(spec, stream_rng(seed, rng, first + t)))
+                out[first : first + m] = _stacked_h(stack[:m])
+        except BaseException as exc:  # raised on the calling thread below
+            errors[w] = exc
 
-        _in_threads(draw, count)
-        out[first : first + m] = _stacked_h(stack[:m])
+    threads = []
+    try:
+        for w in range(1, workers):
+            thread = threading.Thread(target=work, args=(w,))
+            thread.start()
+            threads.append(thread)
+        work(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    # each worker stops at its first failing trial, so the lowest worker's
+    # error is the lowest failing trial's
+    for exc in errors:
+        if exc is not None:
+            raise exc
     return out

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -267,6 +268,20 @@ class TestSweep:
         )
         assert code == 2 and out == ""
         assert "distinct" in err
+
+    def test_too_many_steps_refused_before_the_grid(self, capsys, monkeypatch):
+        # 2 * 10**6 steps over the two values 1..2 must repeat one; the
+        # refusal comes without building the grid
+        def geomspace(*args, **kwargs):
+            raise AssertionError("the grid was built")
+
+        monkeypatch.setattr(np, "geomspace", geomspace)
+        code, out, err = run_cli(
+            ["sweep", "--p", "1", "--q", "1", "--d-min", "1", "--d-max", "2",
+             "--steps", "2000000"], capsys
+        )
+        assert_refused(code, out, err)
+        assert "distinct values of d" in err
 
     def test_bad_range(self, capsys):
         code, _, err = run_cli(
@@ -539,11 +554,13 @@ def test_chain_without_inner_dimension_refused(argv, capsys):
     "argv",
     [
         # 10**15 float64 values is 7 PiB, past the x86-64 address space, so
-        # numpy's allocation fails at once and touches no memory
+        # numpy's allocation fails at once and touches no memory; sweep-steps
+        # is refused before its grid is built, sweep-grid when it is
         ["distinguish", "--p", "2", "--q", "2", "--inner", "4", "--trials", str(10**15)],
         ["sweep", "--p", "1", "--q", "1", "--d-min", "1", "--d-max", "2", "--steps", str(10**15)],
+        ["sweep", "--p", "1", "--q", "1", "--d-min", "1", "--d-max", str(10**16), "--steps", str(10**15)],
     ],
-    ids=["distinguish-trials", "sweep-steps"],
+    ids=["distinguish-trials", "sweep-steps", "sweep-grid"],
 )
 def test_allocation_too_large_refused(argv, capsys):
     code, out, err = run_cli(argv, capsys)

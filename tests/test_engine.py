@@ -4,11 +4,13 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import philox_stream, stat_h
+from conftest import philox_stream, random_orthogonal, stat_h
 from gmprod import engine
 from gmprod.core import ChainSpec
-from gmprod.engine import h_samples
+from gmprod.engine import _stacked_h, h_samples
 from gmprod.sampling import SeedSpec, sample_product, sample_single, stream_rng
 
 SAMPLERS = {"product": sample_product, "single": sample_single}
@@ -74,8 +76,8 @@ def test_trial_order_does_not_matter():
     assert np.array_equal(full[123:], batch_h("product", spec, 377, seed.stream(123)))
 
 
-def test_one_philox_built_per_call(monkeypatch):
-    # the generator comes from np.random.Philox at call time, so a
+def test_one_philox_built_per_call(monkeypatch, three_workers):
+    # the generators come from np.random.Philox at call time, so a
     # replacement installed after import sees every draw
     made = []
 
@@ -90,8 +92,17 @@ def test_one_philox_built_per_call(monkeypatch):
     assert len(made) == 1
     # the last trial left the generator inside stream 29
     assert made[0].state["state"]["counter"][2] == 29
+    # on the threaded path, one per worker however many chunks: 37 trials
+    # in chunks of 5 give the three workers blocks 0-11, 12-23 and 24-36
+    made.clear()
+    threaded = THREADED[0]
+    three_workers(threaded, 5)
+    got_threaded = batch_h("product", threaded, 37, seed)
+    assert len(made) == 3
+    assert sorted(int(philox.state["state"]["counter"][2]) for philox in made) == [11, 23, 36]
     monkeypatch.undo()
     assert np.array_equal(got, scalar_h("product", spec, 30, seed))
+    assert np.array_equal(got_threaded, scalar_h("product", threaded, 37, seed))
 
 
 # Chains on the threaded path: (4, 4, (512,)) draws 2**12 normals per
@@ -127,16 +138,16 @@ class TestThreads:
     @pytest.mark.parametrize("ensemble", ENSEMBLES)
     @pytest.mark.parametrize("spec", THREADED, ids=str)
     def test_matches_scalar_path(self, three_workers, spec, ensemble):
-        # n = 13 in chunks of 5 leaves a partial chunk of 3, and neither
-        # 13 nor 5 splits evenly over three workers
+        # n = 37 in chunks of 5: the three workers' blocks of 12, 12 and 13
+        # trials run as chunks of 5, 5, 2 / 5, 5, 2 / 5, 5, 3
         three_workers(spec, 5)
         seen = set()
         seed, threads = SeedSpec(20261018, 9), threading.active_count()
-        got = h_samples(recording(SAMPLERS[ensemble], seen), spec, 13, seed)
-        # the calling thread and two new ones for each of the three chunks
-        assert threading.main_thread() in seen and len(seen) == 7
+        got = h_samples(recording(SAMPLERS[ensemble], seen), spec, 37, seed)
+        # the calling thread and two new ones, started once per call
+        assert threading.main_thread() in seen and len(seen) == 3
         assert threading.active_count() == threads
-        assert np.array_equal(got, scalar_h(ensemble, spec, 13, seed))
+        assert np.array_equal(got, scalar_h(ensemble, spec, 37, seed))
 
     @pytest.mark.parametrize(
         "spec, threaded",
@@ -158,6 +169,17 @@ class TestThreads:
         seen = set()
         h_samples(recording(sample_product, seen), spec, 2, SeedSpec(1))
         assert len(seen) == 2
+
+    def test_chain_filling_a_stack_alone_stays_on_one_thread(self, three_workers):
+        # draw-heavy, but each chunk holds one trial, as for every chain with
+        # p*q > 2**14: threading such chains measured up to 2.4x slower
+        spec, seed = THREADED[0], SeedSpec(4, 3)
+        three_workers(spec, 1)
+        for ensemble, sample in SAMPLERS.items():
+            seen = set()
+            got = h_samples(recording(sample, seen), spec, 6, seed)
+            assert seen == {threading.main_thread()}
+            assert np.array_equal(got, scalar_h(ensemble, spec, 6, seed))
 
     @pytest.mark.parametrize("failure", ["raise", "inf"])
     @pytest.mark.parametrize("failing", [(4, 7), (1, 4, 7)], ids=str)
@@ -296,3 +318,49 @@ class TestStreamReset:
     def test_only_philox_is_reset(self):
         with pytest.raises(TypeError, match="Philox"):
             stream_rng(SeedSpec(0), np.random.default_rng(0))
+
+
+def engine_h(x) -> float:
+    """h of one matrix, through the engine's stacked statistic on a one-matrix stack."""
+    return float(_stacked_h(np.asarray(x, dtype=np.float64)[np.newaxis])[0])
+
+
+def _mat(rows, cols, seed):
+    return np.random.default_rng(seed).standard_normal((rows, cols))
+
+
+class TestStackedH:
+    def test_identity(self):
+        assert engine_h(np.eye(2)) == 2.0
+
+    def test_diagonal(self):
+        assert engine_h(np.diag([1.0, 2.0])) == 17.0
+
+    def test_scalar_fourth_power(self):
+        assert engine_h([[3.0]]) == 81.0
+
+    def test_wide_and_tall_agree(self):
+        x = _mat(3, 7, 0)
+        assert engine_h(x) == pytest.approx(engine_h(x.T), rel=1e-12)
+
+    @given(st.integers(1, 8), st.integers(1, 8), st.integers(0, 2**32 - 1),
+           st.floats(-10, 10).filter(lambda c: abs(c) > 1e-3))
+    def test_quartic_scaling(self, rows, cols, seed, c):
+        x = _mat(rows, cols, seed)
+        assert engine_h(c * x) == pytest.approx(c**4 * engine_h(x), rel=1e-10)
+
+    @given(st.integers(1, 8), st.integers(1, 8), st.integers(0, 2**32 - 1))
+    def test_nonnegative_and_dominated_by_trace_square(self, rows, cols, seed):
+        x = _mat(rows, cols, seed)
+        h = engine_h(x)
+        t = (x * x).sum() ** 2  # tr(X^T X)^2, the squared Frobenius norm squared
+        assert h >= 0.0
+        assert t >= 0.0
+        # tr(M^2) <= tr(M)^2 for PSD M, with float slack
+        assert h <= t * (1 + 1e-12)
+
+    @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_rotation_invariance(self, rows, cols, seed):
+        x = _mat(rows, cols, seed)
+        rot = random_orthogonal(rows, np.random.default_rng(seed + 1))
+        assert engine_h(rot @ x) == pytest.approx(engine_h(x), rel=1e-10)
