@@ -5,9 +5,10 @@ test power), ``sweep`` (phase data over a geometric grid of inner
 dimensions), ``oracle`` (exact enumeration vs. closed forms). Each
 subcommand builds one report; ``main`` writes it as canonical JSON (sorted
 keys) or as CSV (fixed header, LF endings, reals with 17 significant
-digits), and ``oracle`` as JSON only. A re-run with the same configuration
-and seed is byte-identical. Exit status: 0 success, 2 invalid arguments,
-3 exact oracle over budget; every error is one ``gmprod:`` line on stderr.
+digits), and ``oracle`` as JSON only. Every setting comes from argv, none
+from the environment, and a re-run of the same argv is byte-identical.
+Exit status: 0 success, 2 invalid arguments, 3 exact oracle over budget;
+every error is one ``gmprod:`` line on stderr.
 
 The argument parser is built once, when this module is imported, and
 every ``main`` call in the process parses with it.
@@ -20,7 +21,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 
@@ -61,17 +61,6 @@ def _parse_inner(text: str) -> tuple[int, ...]:
     return dims
 
 
-def _seed(args) -> int:
-    """The master seed: ``--seed``, else the GMPROD_SEED env var, else 0."""
-    if args.seed is not None:
-        return args.seed
-    raw = os.environ.get("GMPROD_SEED", "0")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"GMPROD_SEED must be an integer, got {raw!r}") from None
-
-
 def _csv_field(value) -> str:
     """A CSV field: reals with 17 significant digits, lists (``inner``) joined by ``;``.
 
@@ -104,24 +93,12 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
 
 
-def _spec_from(args, inner: tuple[int, ...]) -> ChainSpec:
-    """The chain ``--p``, ``--q``, ``inner``; ``--strict-dims`` also requires d_i >= max(p, q)."""
-    spec = ChainSpec(args.p, args.q, inner)
-    floor = max(spec.p, spec.q)
-    if args.strict_dims and any(d < floor for d in spec.inner):
-        raise ValueError(
-            f"strict mode requires every inner dimension >= max(p, q) = {floor}, "
-            f"got {spec.inner}"
-        )
-    return spec
-
-
 def _frac_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
 def cmd_moments(args):
-    spec = _spec_from(args, _parse_inner(args.inner))
+    spec = ChainSpec(args.p, args.q, _parse_inner(args.inner))
     plan = build_test(spec)
     s = closed_form_moments(spec.inner)
     report = {
@@ -140,18 +117,18 @@ def cmd_moments(args):
 
 
 def cmd_distinguish(args):
-    seed = _seed(args)
-    spec = _spec_from(args, _parse_inner(args.inner))
+    spec = ChainSpec(args.p, args.q, _parse_inner(args.inner))
     if args.trials < 10:
         raise ValueError("distinguish requires at least 10 trials per ensemble")
     plan = build_test(spec)
-    report_values = power_from_samples(*draw_h_samples(spec, args.trials, SeedSpec(seed)), plan)
+    h_product, h_single = draw_h_samples(spec, args.trials, SeedSpec(args.seed))
+    report_values = power_from_samples(h_product, h_single, plan)
     report = {
         "p": spec.p,
         "q": spec.q,
         "inner": list(spec.inner),
         "trials": args.trials,
-        "seed": seed,
+        "seed": args.seed,
         "threshold": plan.threshold,
         "mu_single": plan.mu_single,
         "mu_product": plan.mu_product,
@@ -165,7 +142,6 @@ def cmd_distinguish(args):
 
 
 def cmd_sweep(args):
-    seed = _seed(args)
     if args.r < 2:
         raise ValueError("sweep requires at least two factors (--r >= 2)")
     if args.d_min < 1:
@@ -182,7 +158,13 @@ def cmd_sweep(args):
             f"holds only {args.d_max - args.d_min + 1} distinct values of d; use fewer steps"
         )
     # through float: numpy cannot take the log of an int above 2**64
-    grid = [int(round(d)) for d in np.geomspace(float(args.d_min), float(args.d_max), args.steps)]
+    ends = []
+    for flag, d in (("d-min", args.d_min), ("d-max", args.d_max)):
+        try:
+            ends.append(float(d))
+        except OverflowError:
+            raise ValueError(f"{flag} has {len(str(d))} digits, too large for a float") from None
+    grid = [int(round(d)) for d in np.geomspace(*ends, args.steps)]
     if len(set(grid)) < len(grid):
         raise ValueError(
             f"{args.steps} steps from {args.d_min} to {args.d_max} give only "
@@ -190,9 +172,9 @@ def cmd_sweep(args):
         )
     rows = []
     for k, d in enumerate(grid):
-        spec = _spec_from(args, (d,) * (args.r - 1))
+        spec = ChainSpec(args.p, args.q, (d,) * (args.r - 1))
         plan = build_test(spec)
-        row_seed = SeedSpec(seed, k * 2 * args.trials)
+        row_seed = SeedSpec(args.seed, k * 2 * args.trials)
         h_product, h_single = draw_h_samples(spec, args.trials, row_seed)
         power = power_from_samples(h_product, h_single, plan)
         rows.append({
@@ -204,7 +186,7 @@ def cmd_sweep(args):
             "mean_gap": plan.mu_product - plan.mu_single,
         })
     report = {
-        "p": args.p, "q": args.q, "r": args.r, "trials": args.trials, "seed": seed,
+        "p": args.p, "q": args.q, "r": args.r, "trials": args.trials, "seed": args.seed,
         "constants": {"c": TV_UPPER_C},
         "rows": rows,
     }
@@ -212,7 +194,7 @@ def cmd_sweep(args):
 
 
 def cmd_oracle(args):
-    spec = _spec_from(args, _parse_inner(args.inner))
+    spec = ChainSpec(args.p, args.q, _parse_inner(args.inner))
     budget = WickBudget(max_monomials=args.max_monomials)
     wick_mean = wick_exact_mean_h(spec.p, spec.q, spec.inner, budget)
     closed_mean = mean_h_product_exact(spec)
@@ -261,13 +243,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--q", type=int, required=True, help="output column count")
         if inner:
             p.add_argument("--inner", default="", help="comma-separated inner dimensions, e.g. 64 or 8,8")
-        p.add_argument("--seed", type=int, default=None,
-                       help="master seed for distinguish and sweep "
-                            "(default: GMPROD_SEED env var, else 0)")
+        p.add_argument("--seed", type=int, default=0,
+                       help="master seed, read by distinguish and sweep (default 0)")
         p.add_argument("--format", choices=formats, default=formats[0], help="output format")
         p.add_argument("--out", default=None, help="write output to this path instead of stdout")
-        p.add_argument("--strict-dims", action="store_true",
-                       help="require every inner dimension >= max(p, q)")
 
     p_moments = sub.add_parser("moments", help="analytic means, variances, and the moment vector")
     add_common(p_moments, ("json", "csv"))
@@ -312,7 +291,7 @@ def main(argv=None) -> int:
         # MemoryError: a --trials or --steps too large to allocate
         print(f"gmprod: {exc}", file=sys.stderr)
         return 2
-    if args.out:
+    if args.out is not None:
         try:
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)

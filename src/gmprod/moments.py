@@ -139,10 +139,13 @@ def var_h_product_exact(spec: ChainSpec) -> Fraction:
 
 
 def mean_h_asymptotic(spec: ChainSpec) -> float:
-    """Leading-order mean of the statistic for large inner dimensions.
+    """Large-d approximation of the product mean of the statistic.
 
-    pq(p+q+1)/d1^2 plus the pq(p-1)(q-1)/d1^2 * sum(1/d_j) correction that
-    separates the product from a single Gaussian.
+    pq(p+q+1)/d1^2 + pq(p-1)(q-1)/d1^2 * sum(1/d_j). The first term is the
+    single-Gaussian mean. The second is only part of the product's excess
+    over it: at r = 2 the exact mean is larger by a further 2pq(p+q+1)/d^3,
+    of the same order, so at p = 1 this value equals the single mean while
+    the exact means differ.
     """
     p, q, d1 = spec.p, spec.q, spec.d1
     lead = p * q * (p + q + 1) / d1**2

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gmprod
-from gmprod.cli import _csv_text, canonical_json, main
+from gmprod.cli import _csv_text, build_parser, canonical_json, main
 
 MOMENTS_HEADER = [
     "p", "q", "inner", "mean_product", "mean_asymptotic", "mean_single",
@@ -26,8 +27,10 @@ DISTINGUISH_HEADER = [
 ]
 SWEEP_HEADER = ["d", "accuracy", "tv_lower_empirical", "tv_upper_c1", "chebyshev_error", "mean_gap"]
 
-# The full stdout of deterministic commands, pinned literally: a change in
-# how a value is derived must not move a printed digit.
+# The full stdout of commands, pinned literally: a change in how a value is
+# derived must not move a printed digit. The sampled entries are one op of
+# each sampling benchmark workload, the 8 x 8 one on the threaded path,
+# and a distinguish run without --seed, which must draw with seed 0.
 PINNED_OUTPUT = {
     "moments --p 3 --q 2 --inner 6,6": """\
 {
@@ -105,6 +108,81 @@ p,q,inner,mean_product,mean_asymptotic,mean_single,var_single,var_product,s1,s2,
   "p": 2,
   "q": 3,
   "wick_mean": "264/125"
+}
+""",
+    "distinguish --p 2 --q 2 --inner 4 --trials 1000 --seed 7": """\
+{
+  "accuracy": 0.495,
+  "chebyshev_error_bound": 1.0,
+  "constants": {
+    "c": 1.0
+  },
+  "false_negative_rate": 0.777,
+  "false_positive_rate": 0.233,
+  "inner": [
+    4
+  ],
+  "mu_product": 1.9375,
+  "mu_single": 1.25,
+  "p": 2,
+  "q": 2,
+  "seed": 7,
+  "threshold": 1.59375,
+  "trials": 1000
+}
+""",
+    "distinguish --p 8 --q 8 --inner 2048 --trials 200 --seed 7": """\
+{
+  "accuracy": 0.5,
+  "chebyshev_error_bound": 1.0,
+  "constants": {
+    "c": 1.0
+  },
+  "false_negative_rate": 0.52,
+  "false_positive_rate": 0.48,
+  "inner": [
+    2048
+  ],
+  "mu_product": 0.0002600178122520447,
+  "mu_single": 0.0002593994140625,
+  "p": 8,
+  "q": 8,
+  "seed": 7,
+  "threshold": 0.00025970861315727234,
+  "trials": 200
+}
+""",
+    "sweep --p 16 --q 16 --d-min 16 --d-max 4096 --steps 9 --trials 20 --seed 7": """\
+d,accuracy,tv_lower_empirical,tv_upper_c1,chebyshev_error,mean_gap
+16,0.625,0.40000000000000002,1,1,18.1875
+32,0.55000000000000004,0.20000000000000001,1,1,2.2734375
+64,0.55000000000000004,0.5,1,1,0.2841796875
+128,0.57499999999999996,0.20000000000000007,1,1,0.0355224609375
+256,0.57499999999999996,0.40000000000000002,1,1,0.0044403076171875
+512,0.30000000000000004,0.5,0.70710678118654757,1,0.0005550384521484375
+1024,0.40000000000000002,0.25,0.5,1,6.9379806518554688e-05
+2048,0.47499999999999998,0.15000000000000002,0.35355339059327379,1,8.6724758148193359e-06
+4096,0.59999999999999998,0.30000000000000004,0.25,1,1.084059476852417e-06
+""",
+    "distinguish --p 2 --q 2 --inner 4 --trials 20": """\
+{
+  "accuracy": 0.5,
+  "chebyshev_error_bound": 1.0,
+  "constants": {
+    "c": 1.0
+  },
+  "false_negative_rate": 0.8,
+  "false_positive_rate": 0.2,
+  "inner": [
+    4
+  ],
+  "mu_product": 1.9375,
+  "mu_single": 1.25,
+  "p": 2,
+  "q": 2,
+  "seed": 0,
+  "threshold": 1.59375,
+  "trials": 20
 }
 """,
 }
@@ -194,12 +272,14 @@ class TestMoments:
             _csv_text(["x", "inner"], [{"x": float("inf"), "inner": [4]}])
 
     def test_unwritable_out_path(self, tmp_path, capsys):
+        # an empty path is a path that cannot be opened, not a request for stdout
         target = tmp_path / "missing" / "x.json"
-        code, out, err = run_cli(
-            ["moments", "--p", "2", "--q", "2", "--inner", "4", "--out", str(target)], capsys
-        )
-        assert code == 2 and out == ""
-        assert err.startswith("gmprod: cannot write") and err.count("\n") == 1
+        for out_path in (str(target), ""):
+            code, out, err = run_cli(
+                ["moments", "--p", "2", "--q", "2", "--inner", "4", "--out", out_path], capsys
+            )
+            assert code == 2 and out == ""
+            assert err.startswith("gmprod: cannot write") and err.count("\n") == 1
         assert not target.exists()
 
 
@@ -346,51 +426,25 @@ class TestOracle:
 
 
 class TestSeedHandling:
-    def test_env_fallback(self, capsys, monkeypatch):
-        monkeypatch.setenv("GMPROD_SEED", "77")
-        _, out_env, _ = run_cli(
-            ["distinguish", "--p", "2", "--q", "2", "--inner", "4", "--trials", "20"], capsys
-        )
-        monkeypatch.delenv("GMPROD_SEED")
-        _, out_flag, _ = run_cli(
-            ["distinguish", "--p", "2", "--q", "2", "--inner", "4",
-             "--trials", "20", "--seed", "77"], capsys
-        )
-        assert out_env == out_flag
-
-    def test_flag_wins_over_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("GMPROD_SEED", "77")
-        _, out, _ = run_cli(
-            ["distinguish", "--p", "2", "--q", "2", "--inner", "4",
-             "--trials", "20", "--seed", "5"], capsys
-        )
-        assert json.loads(out)["seed"] == 5
-
-    def test_malformed_env_seed(self, capsys, monkeypatch):
-        monkeypatch.setenv("GMPROD_SEED", "not-a-number")
-        code, _, err = run_cli(
-            ["distinguish", "--p", "2", "--q", "2", "--inner", "4", "--trials", "20"], capsys
-        )
-        assert code == 2
-        assert "GMPROD_SEED" in err
-
     @pytest.mark.parametrize(
-        "argv", ["moments --p 3 --q 2 --inner 6,6", "oracle --p 2 --q 3"], ids=["moments", "oracle"]
+        "argv",
+        [
+            "moments --p 3 --q 2 --inner 6,6",
+            "distinguish --p 2 --q 2 --inner 4 --trials 20",
+            "sweep --p 2 --q 2 --d-min 4 --d-max 16 --steps 2 --trials 10",
+            "oracle --p 2 --q 3",
+        ],
+        ids=["moments", "distinguish", "sweep", "oracle"],
     )
-    def test_malformed_env_seed_ignored_without_draws(self, argv, capsys, monkeypatch):
-        # moments and oracle draw nothing, so they never read the seed
-        monkeypatch.setenv("GMPROD_SEED", "not-a-number")
-        code, out, err = run_cli(argv.split(), capsys)
-        assert (code, out, err) == (0, PINNED_OUTPUT[argv], "")
-
-    def test_malformed_env_seed_refused_by_sweep(self, capsys, monkeypatch):
-        monkeypatch.setenv("GMPROD_SEED", "not-a-number")
-        code, out, err = run_cli(
-            ["sweep", "--p", "2", "--q", "2", "--d-min", "4", "--d-max", "16",
-             "--steps", "2", "--trials", "10"], capsys
-        )
-        assert_refused(code, out, err)
-        assert "GMPROD_SEED" in err
+    def test_env_seed_changes_nothing(self, argv, capsys, monkeypatch):
+        # argv is the whole configuration: the seed defaults to 0, never to
+        # an environment variable
+        monkeypatch.delenv("GMPROD_SEED", raising=False)
+        expected = run_cli(argv.split(), capsys)
+        assert expected[0] == 0
+        for value in ("77", "not-a-number"):
+            monkeypatch.setenv("GMPROD_SEED", value)
+            assert run_cli(argv.split(), capsys) == expected
 
     def test_argparse_errors_exit_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -446,25 +500,20 @@ def test_one_parser_serves_every_call():
         assert in_process(list(argv)) == expected
 
 
-@pytest.mark.parametrize(
-    "argv, code",
-    [
-        ("moments --p 8 --q 8 --inner 4", 2),
-        ("distinguish --p 8 --q 8 --inner 4 --trials 10", 2),
-        ("sweep --p 8 --q 8 --d-min 4 --d-max 16 --steps 2 --trials 10", 2),
-        ("oracle --p 8 --q 8 --inner 4", 2),
-        ("moments --p 2 --q 3 --inner 3", 0),
-    ],
-    ids=["moments", "distinguish", "sweep", "oracle", "moments-accepted"],
-)
-def test_strict_dims(argv, code, capsys):
-    # every inner dimension must be at least max(p, q); equal to it is enough
-    got, out, err = run_cli(argv.split() + ["--strict-dims"], capsys)
-    if code == 0:
-        assert (got, err) == (0, "") and json.loads(out)["inner"] == [3]
-        return
-    assert_refused(got, out, err)
-    assert err == "gmprod: strict mode requires every inner dimension >= max(p, q) = 8, got (4,)\n"
+def test_option_sets_are_pinned():
+    # a setting is added or dropped on purpose, with this list
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        name: {s for action in p._actions for s in action.option_strings if s.startswith("--")}
+        for name, p in subparsers.choices.items()
+    }
+    common = {"--help", "--p", "--q", "--seed", "--format", "--out"}
+    assert options == {
+        "moments": common | {"--inner"},
+        "distinguish": common | {"--inner", "--trials"},
+        "sweep": common | {"--r", "--d-min", "--d-max", "--steps", "--trials"},
+        "oracle": common | {"--inner", "--max-monomials"},
+    }
 
 
 @pytest.mark.parametrize(
@@ -479,12 +528,14 @@ def test_strict_dims(argv, code, capsys):
     ids=["moments", "distinguish", "sweep", "oracle"],
 )
 def test_constants_option_removed(argv, capsys):
-    # c is fixed at 1; every report still echoes it as {"c": 1.0}
-    with pytest.raises(SystemExit) as exc:
-        main(argv + ["--constants", "c=2"])
-    out = capsys.readouterr()
-    assert_refused(exc.value.code, out.out, out.err)
-    assert "--constants" in out.err
+    # neither option exists: c is fixed at 1, and every report still
+    # echoes it as {"c": 1.0}
+    for removed in (["--constants", "c=2"], ["--strict-dims"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + removed)
+        out = capsys.readouterr()
+        assert_refused(exc.value.code, out.out, out.err)
+        assert removed[0] in out.err
 
 
 @pytest.mark.parametrize(
@@ -494,8 +545,13 @@ def test_constants_option_removed(argv, capsys):
         (["moments", "--p", str(10**400), "--q", "2", "--inner", "4"], "mu_single"),
         (["sweep", "--p", "2", "--q", "2", "--d-min", "4", "--d-max", str(10**80),
           "--steps", "3", "--trials", "10"], "limit"),
+        # the grid is built in floats, and 10**400 is past the largest one
+        (["sweep", "--p", "2", "--q", "2", "--d-min", "4", "--d-max", str(10**400),
+          "--steps", "3", "--trials", "10"], "d-max has 401 digits"),
+        (["sweep", "--p", "2", "--q", "2", "--d-min", str(10**400), "--d-max", str(10**401),
+          "--steps", "3", "--trials", "10"], "d-min has 401 digits"),
     ],
-    ids=["inner", "p", "sweep-d-max"],
+    ids=["inner", "p", "sweep-d-max", "sweep-d-max-float", "sweep-d-min-float"],
 )
 def test_dimension_too_large_for_a_float_rejected(argv, named, capsys):
     code, out, err = run_cli(argv, capsys)
@@ -650,14 +706,13 @@ TRIALS = st.integers(10, 30)
     trials=TRIALS,
     seed=SEED,
     fmt=st.sampled_from(["json", "csv"]),
-    strict=st.booleans(),
 )
-def test_distinguish_contract_holds_for_generated_argv(p, q, inner, closed, trials, seed, fmt, strict):
+def test_distinguish_contract_holds_for_generated_argv(p, q, inner, closed, trials, seed, fmt):
     if closed and inner:
         inner[-1] = inner[0]
     argv = ["distinguish", "--p", str(p), "--q", str(q), "--inner", ",".join(map(str, inner)),
             "--trials", str(trials), "--seed", str(seed), "--format", fmt]
-    out = run_generated(argv + ["--strict-dims"] * strict)
+    out = run_generated(argv)
     if out is None:
         return
     if fmt == "json":

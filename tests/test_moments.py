@@ -124,6 +124,16 @@ class TestMeanAsymptotic:
         with pytest.raises(ValueError):
             mean_h_asymptotic(ChainSpec(2, 2))
 
+    @pytest.mark.parametrize("p, q, d", [(1, 4, 8), (1, 1, 16), (3, 2, 6), (8, 8, 2048), (16, 16, 64)])
+    def test_two_factor_gap_to_exact(self, p, q, d):
+        # the exact mean exceeds the asymptotic one by 2pq(p+q+1)/d^3, so the
+        # pq(p-1)(q-1)/d^3 term is only part of the product's excess over the
+        # single mean pq(p+q+1)/d^2, and none of it at p = 1
+        spec = ChainSpec(p, q, (d,))
+        asymptotic = Fraction(p * q * (p + q + 1), d**2) + Fraction(p * q * (p - 1) * (q - 1), d**3)
+        assert mean_h_asymptotic(spec) == pytest.approx(float(asymptotic), rel=1e-15)
+        assert mean_h_product_exact(spec) - asymptotic == Fraction(2 * p * q * (p + q + 1), d**3)
+
 
 class TestMeanSingle:
     def test_values(self):
