@@ -2,13 +2,10 @@
 
 from .core import ChainSpec
 from .distinguisher import (
-    PowerReport,
     TestPlan,
     build_test,
-    chebyshev_error,
-    classify,
     draw_h_samples,
-    power_from_samples,
+    error_rates,
     tv_lower_bound_empirical,
     tv_upper_bound,
 )
@@ -47,11 +44,8 @@ __all__ = [
     "wick_exact_mean_h",
     "wick_exact_var_h_single",
     "TestPlan",
-    "PowerReport",
     "build_test",
-    "classify",
-    "chebyshev_error",
-    "power_from_samples",
+    "error_rates",
     "draw_h_samples",
     "tv_lower_bound_empirical",
     "tv_upper_bound",

@@ -31,7 +31,7 @@ from .distinguisher import (
     TV_UPPER_C,
     build_test,
     draw_h_samples,
-    power_from_samples,
+    error_rates,
     tv_lower_bound_empirical,
     tv_upper_bound,
 )
@@ -100,7 +100,7 @@ def _frac_str(f: Fraction) -> str:
 def cmd_moments(args):
     spec = ChainSpec(args.p, args.q, _parse_inner(args.inner))
     plan = build_test(spec)
-    s = closed_form_moments(spec.inner)
+    s = closed_form_moments(spec)
     report = {
         "p": spec.p,
         "q": spec.q,
@@ -122,7 +122,6 @@ def cmd_distinguish(args):
         raise ValueError("distinguish requires at least 10 trials per ensemble")
     plan = build_test(spec)
     h_product, h_single = draw_h_samples(spec, args.trials, SeedSpec(args.seed))
-    report_values = power_from_samples(h_product, h_single, plan)
     report = {
         "p": spec.p,
         "q": spec.q,
@@ -132,10 +131,8 @@ def cmd_distinguish(args):
         "threshold": plan.threshold,
         "mu_single": plan.mu_single,
         "mu_product": plan.mu_product,
-        "accuracy": report_values.accuracy,
-        "false_positive_rate": report_values.false_positive_rate,
-        "false_negative_rate": report_values.false_negative_rate,
-        "chebyshev_error_bound": report_values.chebyshev_error_bound,
+        **error_rates(h_product, h_single, plan),
+        "chebyshev_error_bound": plan.chebyshev_error_bound,
         "constants": {"c": TV_UPPER_C},
     }
     return report, DISTINGUISH_CSV_HEADER, [report]
@@ -176,13 +173,12 @@ def cmd_sweep(args):
         plan = build_test(spec)
         row_seed = SeedSpec(args.seed, k * 2 * args.trials)
         h_product, h_single = draw_h_samples(spec, args.trials, row_seed)
-        power = power_from_samples(h_product, h_single, plan)
         rows.append({
             "d": d,
-            "accuracy": power.accuracy,
+            "accuracy": error_rates(h_product, h_single, plan)["accuracy"],
             "tv_lower_empirical": tv_lower_bound_empirical(h_product, h_single),
             "tv_upper_c1": tv_upper_bound(spec),
-            "chebyshev_error": power.chebyshev_error_bound,
+            "chebyshev_error": plan.chebyshev_error_bound,
             "mean_gap": plan.mu_product - plan.mu_single,
         })
     report = {
@@ -196,7 +192,7 @@ def cmd_sweep(args):
 def cmd_oracle(args):
     spec = ChainSpec(args.p, args.q, _parse_inner(args.inner))
     budget = WickBudget(max_monomials=args.max_monomials)
-    wick_mean = wick_exact_mean_h(spec.p, spec.q, spec.inner, budget)
+    wick_mean = wick_exact_mean_h(spec, budget)
     closed_mean = mean_h_product_exact(spec)
     report = {
         "p": spec.p,
@@ -208,7 +204,7 @@ def cmd_oracle(args):
         "equal_mean": wick_mean == closed_mean,
     }
     if spec.r == 1:
-        wick_var = wick_exact_var_h_single(spec.p, spec.q, budget)
+        wick_var = wick_exact_var_h_single(spec, budget)
         closed_var = var_h_product_exact(spec)
         report.update({
             "wick_variance": _frac_str(wick_var),

@@ -1,12 +1,12 @@
-"""Threshold test on the statistic, plus analytic and empirical TV bounds.
+"""Threshold test on the statistic, plus two uncertified TV estimates.
 
 The test thresholds the Schatten-4 statistic at the midpoint of the two
-analytic means: the midpoint makes the Chebyshev misclassification bound
-symmetric between the hypotheses. Total-variation distance is bracketed
-from above by the chain bound and from below by the two-sample
-Kolmogorov-Smirnov statistic of the observed statistic values, which is a
-consistent estimator of a TV lower bound because pushing both laws through
-the statistic can only shrink their distance.
+analytic means, which makes the Chebyshev misclassification bound
+symmetric between the hypotheses: ``build_test`` fixes the rule for a
+chain and ``error_rates`` scores drawn values against it. Neither TV
+estimate is certified: ``tv_upper_bound`` carries a constant that theory
+does not pin, and the Kolmogorov-Smirnov statistic of the drawn values
+estimates a TV lower bound with no correction for sampling noise.
 """
 
 from __future__ import annotations
@@ -28,29 +28,32 @@ TV_UPPER_C = 1.0
 
 @dataclass(frozen=True)
 class TestPlan:
-    """Precomputed quantities for classifying one statistic value."""
+    """The whole threshold test of one chain, as ``build_test`` computes it."""
 
     __test__ = False  # not a pytest class, despite the name
 
-    spec: ChainSpec
     mu_single: float
     mu_product: float
     threshold: float
     var_single: float
     var_product: float
-
-
-@dataclass(frozen=True)
-class PowerReport:
-    n_trials: int
-    accuracy: float
-    false_positive_rate: float
-    false_negative_rate: float
     chebyshev_error_bound: float
 
 
+def _chebyshev_error(gap: float, var_single: float, var_product: float) -> float:
+    """Per-hypothesis misclassification bound for the midpoint threshold.
+
+    Chebyshev at half the mean gap: the larger exact variance over
+    (gap/2)^2, clamped to 1. A nonpositive gap carries no guarantee and
+    returns 1.
+    """
+    if gap <= 0:
+        return 1.0
+    return min(1.0, max(var_single, var_product) / (gap / 2.0) ** 2)
+
+
 def build_test(spec: ChainSpec) -> TestPlan:
-    """Test plan for a chain: exact means, midpoint threshold, exact variances.
+    """Test plan for a chain: exact means and variances, midpoint threshold, Chebyshev bound.
 
     The single ensemble is the one-factor chain ``ChainSpec(p, q)`` scaled
     by 1/sqrt(d1), so its mean and variance are that chain's over d1^2 and
@@ -59,36 +62,11 @@ def build_test(spec: ChainSpec) -> TestPlan:
     single, d1 = ChainSpec(spec.p, spec.q), spec.d1
     mu_single = as_float(mean_h_product_exact(single) / d1**2, "mu_single")
     mu_product = as_float(mean_h_product_exact(spec), "mu_product")
-    return TestPlan(
-        spec=spec,
-        mu_single=mu_single,
-        mu_product=mu_product,
-        threshold=(mu_single + mu_product) / 2.0,
-        var_single=as_float(var_h_product_exact(single) / d1**4, "var_single"),
-        var_product=as_float(var_h_product_exact(spec), "var_product"),
-    )
-
-
-def classify(h_values, plan: TestPlan) -> np.ndarray:
-    """True where a value is labeled "product": it exceeds the threshold.
-
-    Exact ties go to "single". Works elementwise on any array of values.
-    """
-    return np.asarray(h_values, dtype=float) > plan.threshold
-
-
-def chebyshev_error(plan: TestPlan) -> float:
-    """Per-hypothesis misclassification bound for the midpoint threshold.
-
-    Chebyshev at half the mean gap: the larger exact variance over
-    (gap/2)^2, clamped to 1. A nonpositive gap carries no guarantee and
-    returns 1.
-    """
-    gap = plan.mu_product - plan.mu_single
-    if gap <= 0:
-        return 1.0
-    worst = max(plan.var_single, plan.var_product)
-    return min(1.0, worst / (gap / 2.0) ** 2)
+    var_single = as_float(var_h_product_exact(single) / d1**4, "var_single")
+    var_product = as_float(var_h_product_exact(spec), "var_product")
+    threshold = (mu_single + mu_product) / 2.0
+    bound = _chebyshev_error(mu_product - mu_single, var_single, var_product)
+    return TestPlan(mu_single, mu_product, threshold, var_single, var_product, bound)
 
 
 def draw_h_samples(spec: ChainSpec, n: int, seed: SeedSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -104,22 +82,21 @@ def draw_h_samples(spec: ChainSpec, n: int, seed: SeedSpec) -> tuple[np.ndarray,
     )
 
 
-def power_from_samples(h_product, h_single, plan: TestPlan) -> PowerReport:
-    """Error rates of the threshold test on drawn statistic values.
+def error_rates(h_product, h_single, plan: TestPlan) -> dict[str, float]:
+    """Error rates of the threshold test on drawn statistic values, by report key.
 
-    A false positive is a single-ensemble draw labeled "product"; a false
-    negative is a product draw labeled "single". Accuracy balances the two
-    hypotheses equally.
+    A value is labeled "product" iff it exceeds the threshold, so exact
+    ties go to "single". A false positive is a single-ensemble draw
+    labeled "product"; a false negative is a product draw labeled
+    "single". Accuracy balances the two hypotheses equally.
     """
-    fnr = float((~classify(h_product, plan)).mean())
-    fpr = float(classify(h_single, plan).mean())
-    return PowerReport(
-        n_trials=len(h_product),
-        accuracy=1.0 - (fpr + fnr) / 2.0,
-        false_positive_rate=fpr,
-        false_negative_rate=fnr,
-        chebyshev_error_bound=chebyshev_error(plan),
-    )
+    fnr = float((~(np.asarray(h_product, dtype=float) > plan.threshold)).mean())
+    fpr = float((np.asarray(h_single, dtype=float) > plan.threshold).mean())
+    return {
+        "accuracy": 1.0 - (fpr + fnr) / 2.0,
+        "false_positive_rate": fpr,
+        "false_negative_rate": fnr,
+    }
 
 
 def tv_lower_bound_empirical(xs, ys) -> float:

@@ -45,16 +45,15 @@ class MomentVector:
         return (self.s1, self.s2, self.s3, self.s4, self.s5, self.s6)
 
 
-def closed_form_moments(inner) -> MomentVector:
-    """Moments of the full unnormalized chain with the given inner dimensions.
+def closed_form_moments(spec: ChainSpec) -> MomentVector:
+    """Moments of the full unnormalized chain; they depend only on its inner dimensions.
 
-    An empty list gives the single-Gaussian base (3, 3, 1, 1, 1, 0). One
-    pass: s4 is the running product of d(d+2), and each layer maps s6 to
-    s6 d(d-1) + s4 d with the s4 of the layers before it.
+    A one-factor chain gives the single-Gaussian base (3, 3, 1, 1, 1, 0).
+    One pass: s4 is the running product of d(d+2), and each layer maps s6
+    to s6 d(d-1) + s4 d with the s4 of the layers before it.
     """
     s4, s6 = 1, 0
-    for d in inner:
-        d = int(d)
+    for d in spec.inner:
         s4, s6 = s4 * d * (d + 2), s6 * d * (d - 1) + s4 * d
     return MomentVector(3 * s4, 3 * s4, s4, s4, s4 - 2 * s6, s6)
 

@@ -18,6 +18,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .core import ChainSpec
+
 # Monomials per enumeration block; a block's moment sum is at most 2^11 * 105.
 _BLOCK_MONOMIALS = 1 << 11
 
@@ -80,23 +82,22 @@ def _term(a, b, i, j, q: int):
     return [i * q + a, i * q + b, j * q + a, j * q + b]
 
 
-def wick_exact_mean_h(p: int, q: int, inner, budget: WickBudget = WickBudget()) -> Fraction:
+def wick_exact_mean_h(spec: ChainSpec, budget: WickBudget = WickBudget()) -> Fraction:
     """Exact E tr((A^T A)^2) for the normalized chain, by enumeration.
 
     Supports one or two factors; the path expansion explodes beyond that.
-    With an empty ``inner`` the value is for the bare unnormalized
+    A one-factor chain gives the value for the bare unnormalized
     Gaussian, matching the closed-form convention.
     """
-    inner = [int(d) for d in inner]
-    r = len(inner) + 1
-    if r > 2:
+    p, q = spec.p, spec.q
+    if spec.r > 2:
         raise OracleBudgetError(
-            f"exact oracle supports chains of at most two factors, got r={r}"
+            f"exact oracle supports chains of at most two factors, got r={spec.r}"
         )
-    if r == 1:
+    if spec.r == 1:
         budget.check(p * p * q * q, "mean enumeration")
         return Fraction(_enumerate((q, q, p, p), lambda *ix: _term(*ix, q)))
-    d = inner[0]
+    d = spec.d1
     budget.check(p * p * q * q * d**4, "mean enumeration")
 
     def paths(a, b, i, j, k1, k2, k3, k4):
@@ -108,12 +109,15 @@ def wick_exact_mean_h(p: int, q: int, inner, budget: WickBudget = WickBudget()) 
     return Fraction(_enumerate((q, q, p, p, d, d, d, d), paths), d**4)
 
 
-def wick_exact_var_h_single(p: int, q: int, budget: WickBudget = WickBudget()) -> Fraction:
-    """Exact Var tr((G^T G)^2) for an unnormalized p x q Gaussian.
+def wick_exact_var_h_single(spec: ChainSpec, budget: WickBudget = WickBudget()) -> Fraction:
+    """Exact Var tr((G^T G)^2) for the unnormalized p x q Gaussian of a one-factor chain.
 
     The second moment is a degree-8 enumeration over pairs of h's terms
     (entry moments up to E g^8 = 105); the squared mean is subtracted exactly.
     """
+    p, q = spec.p, spec.q
+    if spec.r > 1:
+        raise OracleBudgetError(f"exact oracle variance supports one factor only, got r={spec.r}")
     budget.check((p * p * q * q) ** 2, "variance enumeration")
     second = _enumerate((q, q, p, p) * 2, lambda *ix: _term(*ix[:4], q) + _term(*ix[4:], q))
     mean = _enumerate((q, q, p, p), lambda *ix: _term(*ix, q))

@@ -16,7 +16,7 @@ from gmprod.core import ChainSpec
 from gmprod.distinguisher import (
     build_test,
     draw_h_samples,
-    power_from_samples,
+    error_rates,
     tv_lower_bound_empirical,
 )
 from gmprod.engine import h_samples
@@ -38,11 +38,13 @@ def test_01_closed_form_equals_recursion():
     dims = (1, 2, 3, 5, 10, 50)
     checked = 0
     for length in range(6):
-        for inner in product(dims, repeat=length):
+        for prefix in product(dims, repeat=length):
+            # a chain's last inner dimension repeats its first
+            inner = prefix if prefix[-1:] == prefix[:1] else prefix + prefix[:1]
             t = base_gaussian_moments()
             for d in inner:
                 t = layer_update(t, d)
-            if closed_form_moments(inner).as_tuple() != t.as_tuple():
+            if closed_form_moments(ChainSpec(1, 1, inner)).as_tuple() != t.as_tuple():
                 check("1 recursion/closed-form identity", False, f"mismatch at {inner}")
             checked += 1
     check("1 recursion/closed-form identity", True, f"{checked} chains, exact integers")
@@ -51,11 +53,11 @@ def test_01_closed_form_equals_recursion():
 def test_02_wick_oracle_matches_exact_mean():
     cases = 0
     for p, q in product((1, 2, 3, 4), repeat=2):
-        assert wick_exact_mean_h(p, q, []) == mean_h_product_exact(ChainSpec(p, q))
+        assert wick_exact_mean_h(ChainSpec(p, q)) == mean_h_product_exact(ChainSpec(p, q))
         cases += 1
     for p, q, d in product((1, 2, 3, 4), repeat=3):
-        wick = wick_exact_mean_h(p, q, [d])
-        closed = mean_h_product_exact(ChainSpec(p, q, (d,)))
+        spec = ChainSpec(p, q, (d,))
+        wick, closed = wick_exact_mean_h(spec), mean_h_product_exact(spec)
         if wick != closed:
             check("2 Wick-oracle mean agreement", False, f"(p={p}, q={q}, d={d})")
         cases += 1
@@ -68,10 +70,10 @@ def test_03_single_gaussian_variance_identities():
             closed = 4 * p * q * (2 * p * p + 5 * p * q + 2 * q * q + 5 * p + 5 * q + 5)
             if var_h_product_exact(ChainSpec(p, q)) != closed:
                 check("3 variance closed-form identity", False, f"(p={p}, q={q})")
-    scalar = wick_exact_var_h_single(1, 1)
+    scalar = wick_exact_var_h_single(ChainSpec(1, 1))
     ok = scalar == 96 == 105 - 9
     for p, q in product((1, 2), repeat=2):
-        ok = ok and wick_exact_var_h_single(p, q) == var_h_product_exact(ChainSpec(p, q))
+        ok = ok and wick_exact_var_h_single(ChainSpec(p, q)) == var_h_product_exact(ChainSpec(p, q))
     check("3 variance identities + Wick enumeration", ok, "p,q <= 20 exact; Wick at p,q <= 2")
 
 
@@ -103,23 +105,23 @@ def test_05_monte_carlo_variance_reproduction():
 
 def test_06_distinguishable_regime():
     spec = ChainSpec(32, 32, (64,))
-    rep = power_from_samples(*draw_h_samples(spec, 400, SeedSpec(0)), build_test(spec))
+    rates = error_rates(*draw_h_samples(spec, 400, SeedSpec(0)), build_test(spec))
     check(
         "6 distinguishable regime",
-        rep.accuracy >= 0.70,
-        f"accuracy {rep.accuracy:.4f} at p=q=32, inner=[64], 400 trials",
+        rates["accuracy"] >= 0.70,
+        f"accuracy {rates['accuracy']:.4f} at p=q=32, inner=[64], 400 trials",
     )
 
 
 def test_07_indistinguishable_regime():
     spec = ChainSpec(8, 8, (2048,))
-    rep = power_from_samples(*draw_h_samples(spec, 400, SeedSpec(0)), build_test(spec))
+    rates = error_rates(*draw_h_samples(spec, 400, SeedSpec(0)), build_test(spec))
     hp, hs = draw_h_samples(spec, 10_000, SeedSpec(1))
     tv = tv_lower_bound_empirical(hp, hs)
     check(
         "7 indistinguishable regime",
-        rep.accuracy <= 0.60 and tv <= 0.15,
-        f"accuracy {rep.accuracy:.4f}, TV lower bound {tv:.4f} at n=1e4",
+        rates["accuracy"] <= 0.60 and tv <= 0.15,
+        f"accuracy {rates['accuracy']:.4f}, TV lower bound {tv:.4f} at n=1e4",
     )
 
 

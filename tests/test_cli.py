@@ -185,6 +185,56 @@ d,accuracy,tv_lower_empirical,tv_upper_c1,chebyshev_error,mean_gap
   "trials": 20
 }
 """,
+    "distinguish --p 64 --q 64 --inner 128 --trials 10 --seed 1 --format csv": """\
+p,q,inner,trials,seed,threshold,mu_single,mu_product,accuracy,false_positive_rate,false_negative_rate,chebyshev_error_bound
+64,64,128,10,1,36.3779296875,32.25,40.505859375,1,0,0,0.51773864041967643
+""",
+    "sweep --p 3 --q 5 --r 3 --d-min 2 --d-max 300 --steps 4 --trials 10 --seed 2 --format json": """\
+{
+  "constants": {
+    "c": 1.0
+  },
+  "p": 3,
+  "q": 5,
+  "r": 3,
+  "rows": [
+    {
+      "accuracy": 0.7,
+      "chebyshev_error": 1.0,
+      "d": 2,
+      "mean_gap": 138.75,
+      "tv_lower_empirical": 0.5,
+      "tv_upper_c1": 1.0
+    },
+    {
+      "accuracy": 0.55,
+      "chebyshev_error": 1.0,
+      "d": 11,
+      "mean_gap": 0.6311044327573252,
+      "tv_lower_empirical": 0.20000000000000007,
+      "tv_upper_c1": 1.0
+    },
+    {
+      "accuracy": 0.44999999999999996,
+      "chebyshev_error": 1.0,
+      "d": 56,
+      "mean_gap": 0.00450861945543523,
+      "tv_lower_empirical": 0.4,
+      "tv_upper_c1": 1.0
+    },
+    {
+      "accuracy": 0.4,
+      "chebyshev_error": 1.0,
+      "d": 300,
+      "mean_gap": 2.8970370370370348e-05,
+      "tv_lower_empirical": 0.20000000000000007,
+      "tv_upper_c1": 0.4472135954999579
+    }
+  ],
+  "seed": 2,
+  "trials": 10
+}
+""",
 }
 
 

@@ -6,20 +6,24 @@ import pytest
 from gmprod.core import ChainSpec
 from gmprod.distinguisher import (
     TestPlan,
+    _chebyshev_error,
     build_test,
-    chebyshev_error,
-    classify,
     draw_h_samples,
-    power_from_samples,
+    error_rates,
     tv_lower_bound_empirical,
     tv_upper_bound,
 )
 from gmprod.sampling import SeedSpec
 
 
-def drawn_power(spec, n, seed):
-    """The report ``distinguish`` prints for n draws from each ensemble."""
-    return power_from_samples(*draw_h_samples(spec, n, seed), build_test(spec))
+def drawn_rates(spec, n, seed):
+    """The error rates ``distinguish`` prints for n draws from each ensemble."""
+    return error_rates(*draw_h_samples(spec, n, seed), build_test(spec))
+
+
+def labels(h_values, plan):
+    """True where the test labels a value "product": as a single draw it is a false positive."""
+    return [error_rates([h], [h], plan)["false_positive_rate"] == 1.0 for h in h_values]
 
 
 class TestBuildTest:
@@ -45,51 +49,67 @@ class TestBuildTest:
 
 
 class TestClassify:
-    PLAN = TestPlan(ChainSpec(2, 2, (4,)), 1.25, 1.9375, 1.59375, 0.1, 0.2)
+    """The labeling rule inside ``error_rates``, on hand-made plans."""
+
+    PLAN = TestPlan(1.25, 1.9375, 1.59375, 0.1, 0.2, 1.0)
 
     def test_above(self):
-        assert classify(self.PLAN.threshold + 1.0, self.PLAN)
+        assert labels([self.PLAN.threshold + 1.0], self.PLAN) == [True]
 
     def test_below(self):
-        assert not classify(self.PLAN.threshold - 1.0, self.PLAN)
+        assert labels([self.PLAN.threshold - 1.0], self.PLAN) == [False]
 
     def test_tie_goes_to_single(self):
-        assert not classify(self.PLAN.threshold, self.PLAN)
+        t = self.PLAN.threshold
+        assert labels([t], self.PLAN) == [False]
+        assert error_rates([t], [t], self.PLAN) == {
+            "accuracy": 0.5, "false_positive_rate": 0.0, "false_negative_rate": 1.0,
+        }
 
     def test_elementwise(self):
         t = self.PLAN.threshold
-        labels = classify(np.array([t - 1.0, t, t + 1.0]), self.PLAN)
-        assert labels.tolist() == [False, False, True]
+        values = np.array([t - 1.0, t, t + 1.0])
+        assert labels(values, self.PLAN) == [False, False, True]
+        rates = error_rates(values, values, self.PLAN)
+        assert (rates["false_negative_rate"], rates["false_positive_rate"]) == (2 / 3, 1 / 3)
 
     def test_scale_consistency(self):
-        # classifying c^4-scaled values against a c^4-scaled plan gives
-        # identical labels
+        # scoring c^4-scaled values against a c^4-scaled plan gives
+        # identical rates
         c4 = 3.7**4
-        scaled = TestPlan(
-            self.PLAN.spec, self.PLAN.mu_single * c4, self.PLAN.mu_product * c4,
-            self.PLAN.threshold * c4, self.PLAN.var_single * c4**2,
-            self.PLAN.var_product * c4**2,
-        )
+        p = self.PLAN
+        scaled = TestPlan(p.mu_single * c4, p.mu_product * c4, p.threshold * c4,
+                          p.var_single * c4**2, p.var_product * c4**2, p.chebyshev_error_bound)
         h = np.linspace(0.0, 4.0, 33)
-        assert np.array_equal(classify(h, self.PLAN), classify(h * c4, scaled))
+        assert labels(h, p) == labels(h * c4, scaled)
+        assert error_rates(h, h[::-1], p) == error_rates(h * c4, h[::-1] * c4, scaled)
 
 
 class TestChebyshevError:
+    """``build_test``'s bound on real chains; the formula's corners on the private helper."""
+
     def test_zero_variance(self):
-        plan = TestPlan(ChainSpec(2, 2, (4,)), 1.0, 2.0, 1.5, 0.0, 0.0)
-        assert chebyshev_error(plan) == 0.0
+        assert _chebyshev_error(1.0, 0.0, 0.0) == 0.0
 
     def test_saturates_at_one(self):
-        plan = TestPlan(ChainSpec(2, 2, (4,)), 1.0, 2.0, 1.5, 0.25, 0.25)
-        assert chebyshev_error(plan) == 1.0
+        assert _chebyshev_error(1.0, 0.25, 0.25) == 1.0
+        assert build_test(ChainSpec(2, 2, (4,))).chebyshev_error_bound == 1.0
 
     def test_nonpositive_gap_gives_no_guarantee(self):
-        plan = TestPlan(ChainSpec(2, 2, (4,)), 2.0, 2.0, 2.0, 0.01, 0.01)
-        assert chebyshev_error(plan) == 1.0
+        assert _chebyshev_error(0.0, 0.01, 0.01) == 1.0
+        assert _chebyshev_error(-1.0, 0.0, 0.0) == 1.0
+        # the float means of this chain are equal, so its gap is 0.0
+        plan = build_test(ChainSpec(1, 1, (10**17,)))
+        assert plan.mu_product - plan.mu_single == 0.0
+        assert plan.chebyshev_error_bound == 1.0
 
     def test_uses_worse_variance(self):
-        plan = TestPlan(ChainSpec(2, 2, (4,)), 0.0, 2.0, 1.0, 0.1, 0.5)
-        assert chebyshev_error(plan) == 0.5
+        assert _chebyshev_error(2.0, 0.1, 0.5) == _chebyshev_error(2.0, 0.5, 0.1) == 0.5
+        # 64/64/128 is unclamped, and its product variance is the larger
+        plan = build_test(ChainSpec(64, 64, (128,)))
+        assert plan.var_product > plan.var_single
+        half_gap = (plan.mu_product - plan.mu_single) / 2.0
+        assert plan.chebyshev_error_bound == plan.var_product / half_gap**2 == 0.51773864041967643
 
     @pytest.mark.parametrize(
         "spec", [ChainSpec(32, 32, (64,)), ChainSpec(8, 8, (32,)), ChainSpec(64, 64, (128,))]
@@ -99,10 +119,10 @@ class TestChebyshevError:
         # up to binomial noise; the first two specs clamp it to 1, the
         # last (0.518) does not
         n = 400
-        rep = drawn_power(spec, n, SeedSpec(0))
+        rates = drawn_rates(spec, n, SeedSpec(0))
         noise = 3 * math.sqrt(0.25 / n)
-        assert rep.chebyshev_error_bound >= max(rep.false_positive_rate,
-                                                rep.false_negative_rate) - noise
+        assert build_test(spec).chebyshev_error_bound >= max(
+            rates["false_positive_rate"], rates["false_negative_rate"]) - noise
 
 
 class TestEmpiricalPower:
@@ -110,28 +130,27 @@ class TestEmpiricalPower:
 
     def test_deterministic(self):
         spec = ChainSpec(4, 4, (16,))
-        a = drawn_power(spec, 50, SeedSpec(3, 100))
-        b = drawn_power(spec, 50, SeedSpec(3, 100))
+        a = drawn_rates(spec, 50, SeedSpec(3, 100))
+        b = drawn_rates(spec, 50, SeedSpec(3, 100))
         assert a == b
 
     def test_accuracy_identity(self):
-        rep = drawn_power(ChainSpec(4, 4, (16,)), 80, SeedSpec(5))
-        assert rep.accuracy == pytest.approx(
-            1 - (rep.false_positive_rate + rep.false_negative_rate) / 2, abs=1e-15
+        rates = drawn_rates(ChainSpec(4, 4, (16,)), 80, SeedSpec(5))
+        assert rates["accuracy"] == pytest.approx(
+            1 - (rates["false_positive_rate"] + rates["false_negative_rate"]) / 2, abs=1e-15
         )
 
     def test_rates_from_samples(self):
         # ties go to "single": the product draw at the threshold is a false negative
-        plan = TestPlan(ChainSpec(2, 2, (4,)), 1.0, 2.0, 1.5, 0.1, 0.2)
-        rep = power_from_samples([1.5, 2.0, 3.0, 4.0], [0.5, 1.0, 1.6, 1.5], plan)
-        assert (rep.false_negative_rate, rep.false_positive_rate) == (0.25, 0.25)
-        assert rep.accuracy == 0.75 and rep.n_trials == 4
-        assert rep.chebyshev_error_bound == chebyshev_error(plan)
+        plan = TestPlan(1.0, 2.0, 1.5, 0.1, 0.2, 0.4)
+        assert error_rates([1.5, 2.0, 3.0, 4.0], [0.5, 1.0, 1.6, 1.5], plan) == {
+            "accuracy": 0.75, "false_positive_rate": 0.25, "false_negative_rate": 0.25,
+        }
 
     def test_easy_regime_beats_hard_regime(self):
-        easy = drawn_power(ChainSpec(32, 32, (64,)), 100, SeedSpec(7))
-        hard = drawn_power(ChainSpec(8, 8, (2048,)), 100, SeedSpec(7))
-        assert easy.accuracy > hard.accuracy
+        easy = drawn_rates(ChainSpec(32, 32, (64,)), 100, SeedSpec(7))
+        hard = drawn_rates(ChainSpec(8, 8, (2048,)), 100, SeedSpec(7))
+        assert easy["accuracy"] > hard["accuracy"]
 
     def test_product_and_single_batches_are_disjoint_streams(self):
         spec = ChainSpec(2, 2, (4,))

@@ -65,11 +65,11 @@ class TestLayerUpdate:
 
 class TestClosedFormMoments:
     def test_empty_is_base(self):
-        assert closed_form_moments([]).as_tuple() == (3, 3, 1, 1, 1, 0)
+        assert closed_form_moments(ChainSpec(1, 1)).as_tuple() == (3, 3, 1, 1, 1, 0)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 10])
     def test_single_layer(self, d):
-        m = closed_form_moments([d])
+        m = closed_form_moments(ChainSpec(1, 1, (d,)))
         assert m.s3 == m.s4 == d * (d + 2)
         assert m.s1 == m.s2 == 3 * d * (d + 2)
         assert m.s6 == d
@@ -78,12 +78,23 @@ class TestClosedFormMoments:
     def test_matches_recursion_small_grid(self):
         dims = (1, 2, 3)
         for length in range(4):
-            for inner in product(dims, repeat=length):
-                assert closed_form_moments(inner).as_tuple() == fold_layers(inner).as_tuple()
+            for prefix in product(dims, repeat=length):
+                # a chain's last inner dimension repeats its first
+                inner = prefix if prefix[-1:] == prefix[:1] else prefix + prefix[:1]
+                spec = ChainSpec(1, 1, inner)
+                assert closed_form_moments(spec).as_tuple() == fold_layers(inner).as_tuple()
+
+    @pytest.mark.parametrize("bad", [2.5, True, "4", 0, -3])
+    def test_bad_inner_dimension_refused(self, bad):
+        # a float, bool or string was coerced by int(), and a nonpositive
+        # dimension gave a negative s6
+        assert closed_form_moments(ChainSpec(1, 1, (2,))).as_tuple() == (24, 24, 8, 8, 4, 2)
+        with pytest.raises(ValueError, match="inner dimension must be a positive integer"):
+            closed_form_moments(ChainSpec(1, 1, (bad,)))
 
     def test_matches_recursion_long_chain(self):
-        inner = [(7 * k) % 23 + 1 for k in range(300)]
-        assert closed_form_moments(inner).as_tuple() == fold_layers(inner).as_tuple()
+        inner = tuple((7 * k) % 23 + 1 for k in range(300))  # first and last are 1
+        assert closed_form_moments(ChainSpec(1, 1, inner)).as_tuple() == fold_layers(inner).as_tuple()
 
 
 class TestMeanProduct:
@@ -263,14 +274,14 @@ class TestVarianceProductExact:
         for p, q in product((1, 2, 3, 5), repeat=2):
             for inner in [(1,), (2,), (7,), (2, 2), (3, 1, 3), (1, 4, 2, 1), (4, 3, 2, 4)]:
                 spec = ChainSpec(p, q, inner)
-                s = closed_form_moments(inner)
+                s = closed_form_moments(spec)
                 numerator = p * q * (p + q + 1) * s.s3 + p * q * (p - 1) * (q - 1) * s.s6
                 norm = math.prod(d * d for d in inner) * inner[0] ** 2
                 assert Fraction(numerator, norm) == mean_h_product_exact(spec)
 
     @pytest.mark.parametrize("p, q, d", list(product((1, 2), repeat=3)))
     def test_two_factor_matches_wick_enumeration(self, p, q, d):
-        mean = wick_exact_mean_h(p, q, (d,)) * d**4
+        mean = wick_exact_mean_h(ChainSpec(p, q, (d,))) * d**4
         second = wick_second_moment_pair(p, d, q)
         assert var_h_product_exact(ChainSpec(p, q, (d,))) == Fraction(second - mean * mean, d**8)
 

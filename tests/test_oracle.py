@@ -20,44 +20,70 @@ from wick_reference import (
 
 class TestWickMean:
     def test_scalar_gaussian(self):
-        assert wick_exact_mean_h(1, 1, []) == 3
+        assert wick_exact_mean_h(ChainSpec(1, 1)) == 3
 
     def test_two_by_two_gaussian(self):
-        assert wick_exact_mean_h(2, 2, []) == 20
+        assert wick_exact_mean_h(ChainSpec(2, 2)) == 20
 
     def test_normalized_pair(self):
-        value = wick_exact_mean_h(2, 2, [2])
+        value = wick_exact_mean_h(ChainSpec(2, 2, (2,)))
         assert value == Fraction(21, 2)
         assert value == mean_h_product_exact(ChainSpec(2, 2, (2,)))
 
     def test_matches_closed_form_small_grid(self):
         for p, q in product((1, 2), repeat=2):
-            assert wick_exact_mean_h(p, q, []) == mean_h_product_exact(ChainSpec(p, q))
+            assert wick_exact_mean_h(ChainSpec(p, q)) == mean_h_product_exact(ChainSpec(p, q))
         for p, q, d in product((1, 2), repeat=3):
-            got = wick_exact_mean_h(p, q, [d])
-            assert got == mean_h_product_exact(ChainSpec(p, q, (d,)))
+            spec = ChainSpec(p, q, (d,))
+            assert wick_exact_mean_h(spec) == mean_h_product_exact(spec)
 
     def test_three_factors_refused(self):
         with pytest.raises(OracleBudgetError):
-            wick_exact_mean_h(2, 2, [2, 2])
+            wick_exact_mean_h(ChainSpec(2, 2, (2, 2)))
 
     def test_budget_enforced(self):
         with pytest.raises(OracleBudgetError, match="too large for exact oracle"):
-            wick_exact_mean_h(3, 3, [3], WickBudget(max_monomials=100))
+            wick_exact_mean_h(ChainSpec(3, 3, (3,)), WickBudget(max_monomials=100))
 
 
 class TestWickVariance:
     def test_scalar(self):
-        assert wick_exact_var_h_single(1, 1) == 96  # 105 - 9
+        assert wick_exact_var_h_single(ChainSpec(1, 1)) == 96  # 105 - 9
 
     def test_matches_formula(self):
-        assert wick_exact_var_h_single(2, 2) == var_h_product_exact(ChainSpec(2, 2)) == 976
-        assert wick_exact_var_h_single(2, 1) == var_h_product_exact(ChainSpec(2, 1)) == 320
-        assert wick_exact_var_h_single(1, 2) == var_h_product_exact(ChainSpec(1, 2))
+        assert wick_exact_var_h_single(ChainSpec(2, 2)) == var_h_product_exact(ChainSpec(2, 2)) == 976
+        assert wick_exact_var_h_single(ChainSpec(2, 1)) == var_h_product_exact(ChainSpec(2, 1)) == 320
+        assert wick_exact_var_h_single(ChainSpec(1, 2)) == var_h_product_exact(ChainSpec(1, 2))
 
     def test_budget_enforced(self):
         with pytest.raises(OracleBudgetError):
-            wick_exact_var_h_single(2, 2, WickBudget(max_monomials=10))
+            wick_exact_var_h_single(ChainSpec(2, 2), WickBudget(max_monomials=10))
+
+
+# dimensions the oracle once coerced or used as given: a float, a bool, a
+# string and nonpositive integers
+BAD_DIMENSIONS = [2.5, True, "3", 0, -1]
+
+
+class TestSpecOnly:
+    """The oracle takes a ChainSpec, so a dimension it would coerce never reaches it."""
+
+    @pytest.mark.parametrize("bad", BAD_DIMENSIONS)
+    def test_mean_refuses_bad_inner_dimension(self, bad):
+        assert wick_exact_mean_h(ChainSpec(2, 2, (2,))) == Fraction(21, 2)
+        with pytest.raises(ValueError, match="inner dimension must be a positive integer"):
+            wick_exact_mean_h(ChainSpec(2, 2, (bad,)))
+
+    @pytest.mark.parametrize("bad", BAD_DIMENSIONS)
+    def test_variance_refuses_bad_dimension(self, bad):
+        assert wick_exact_var_h_single(ChainSpec(1, 2)) == 320
+        with pytest.raises(ValueError, match="p must be a positive integer"):
+            wick_exact_var_h_single(ChainSpec(bad, 2))
+
+    def test_variance_refuses_a_chain(self):
+        # the enumeration is of one Gaussian; it must not answer for a product
+        with pytest.raises(OracleBudgetError, match="one factor only"):
+            wick_exact_var_h_single(ChainSpec(2, 2, (4,)))
 
 
 class TestBlockedEnumeration:
@@ -71,16 +97,16 @@ class TestBlockedEnumeration:
                 expected = Fraction(mean_h_unnormalized_pair(p, d, q), d**4)
             else:
                 expected = Fraction(mean_h_unnormalized_single(p, q))
-            assert wick_exact_mean_h(p, q, inner) == expected
+            assert wick_exact_mean_h(ChainSpec(p, q, inner)) == expected
 
     def test_variance_equals_reference(self):
         for p in range(1, 13):
             for q in range(1, 12 // p + 1):
-                assert wick_exact_var_h_single(p, q) == Fraction(var_h_unnormalized_single(p, q))
+                assert wick_exact_var_h_single(ChainSpec(p, q)) == Fraction(var_h_unnormalized_single(p, q))
 
     @pytest.mark.parametrize("call, args", [
-        (wick_exact_var_h_single, (4, 4)),  # 65,536 monomials
-        (wick_exact_mean_h, (1, 1, [20])),  # 160,000 monomials, all on the d^4 axes
+        (wick_exact_var_h_single, (ChainSpec(4, 4),)),  # 65,536 monomials
+        (wick_exact_mean_h, (ChainSpec(1, 1, (20,)),)),  # 160,000 monomials, all on the d^4 axes
     ])
     def test_memory_does_not_grow_with_the_enumeration(self, call, args):
         tracemalloc.start()
