@@ -9,7 +9,6 @@ from .distinguisher import (
     tv_lower_bound_empirical,
     tv_upper_bound,
 )
-from .engine import h_samples
 from .moments import (
     MomentVector,
     closed_form_moments,
@@ -23,7 +22,7 @@ from .oracle import (
     wick_exact_mean_h,
     wick_exact_var_h_single,
 )
-from .sampling import SeedSpec, sample_product, sample_single, stream_rng
+from .sampling import SeedSpec, h_samples, sample_product, sample_single, stream_rng
 
 __version__ = "0.1.0"
 

@@ -120,8 +120,10 @@ def cmd_distinguish(args):
     spec = ChainSpec(args.p, args.q, _parse_inner(args.inner))
     if args.trials < 10:
         raise ValueError("distinguish requires at least 10 trials per ensemble")
-    plan = build_test(spec)
+    # draw first: the draw refuses an oversize chain at once, while the exact
+    # moments cost big-integer work that grows as r**2
     h_product, h_single = draw_h_samples(spec, args.trials, SeedSpec(args.seed))
+    plan = build_test(spec)
     report = {
         "p": spec.p,
         "q": spec.q,
@@ -170,9 +172,9 @@ def cmd_sweep(args):
     rows = []
     for k, d in enumerate(grid):
         spec = ChainSpec(args.p, args.q, (d,) * (args.r - 1))
-        plan = build_test(spec)
         row_seed = SeedSpec(args.seed, k * 2 * args.trials)
         h_product, h_single = draw_h_samples(spec, args.trials, row_seed)
+        plan = build_test(spec)
         rows.append({
             "d": d,
             "accuracy": error_rates(h_product, h_single, plan)["accuracy"],

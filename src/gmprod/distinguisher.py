@@ -18,8 +18,7 @@ import numpy as np
 
 from .core import ChainSpec
 from .moments import as_float, mean_h_product_exact, var_h_product_exact
-from .engine import h_samples
-from .sampling import SeedSpec, sample_product, sample_single
+from .sampling import SeedSpec, h_samples, sample_product, sample_single
 
 # The TV upper bound's multiplier, fixed at 1 as the sweep column name
 # tv_upper_c1 says; every CLI report echoes it under the key "constants".

@@ -50,7 +50,7 @@ def mc_mean(values) -> CIEstimate:
     """Sample mean of a batch of statistic values, with its standard error.
 
     ``values`` holds one value per independently seeded trial, typically
-    from ``engine.h_samples``.
+    from ``sampling.h_samples``.
     """
     values = _batch(values, 2, "mean estimation")
     n = values.size

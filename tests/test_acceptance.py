@@ -19,7 +19,7 @@ from gmprod.distinguisher import (
     error_rates,
     tv_lower_bound_empirical,
 )
-from gmprod.engine import h_samples
+from gmprod.sampling import h_samples
 from gmprod.moments import closed_form_moments, mean_h_product_exact, var_h_product_exact
 from gmprod.oracle import wick_exact_mean_h, wick_exact_var_h_single
 from gmprod.sampling import SeedSpec, sample_product, sample_single

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gmprod
+from gmprod import cli
 from gmprod.cli import _csv_text, build_parser, canonical_json, main
 
 MOMENTS_HEADER = [
@@ -645,6 +646,26 @@ def test_trial_above_the_size_limit_rejected(argv, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        "sweep --p 2 --q 2 --d-min 1000000 --d-max 2000000 --steps 2 --r 8000 --trials 10",
+        f"distinguish --p 2 --q 2 --inner {','.join(['1000000'] * 7999)} --trials 10",
+    ],
+    ids=["sweep", "distinguish"],
+)
+def test_trial_above_the_size_limit_refused_before_the_exact_moments(argv, capsys, monkeypatch):
+    # the exact moments of an 8000-factor chain take seconds of big-integer
+    # work; the draw's size check refuses the chain first, at no cost
+    def build_test(spec):
+        raise AssertionError("the exact moments were computed before the size check")
+
+    monkeypatch.setattr(cli, "build_test", build_test)
+    code, out, err = run_cli(argv.split(), capsys)
+    assert_refused(code, out, err)
+    assert "limit" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["moments", "--p", "2", "--q", "2"],
         ["distinguish", "--p", "2", "--q", "2", "--trials", "10"],
     ],
@@ -738,7 +759,7 @@ def test_moments_contract_holds_for_generated_argv(p, q, inner, closed, fmt):
         assert all(int(d) >= 1 for d in row[header.index("inner")].split(";"))
 
 
-# Draws are only generated small or far above the engine's limit of 2**26
+# Draws are only generated small or far above h_samples' limit of 2**26
 # values per trial, which refuses them before drawing anything. 300 puts
 # an 8 x 8 chain on the threaded path. The other options stay within
 # their checks (the tests above cover those), so that many examples run.

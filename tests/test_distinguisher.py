@@ -13,7 +13,7 @@ from gmprod.distinguisher import (
     tv_lower_bound_empirical,
     tv_upper_bound,
 )
-from gmprod.sampling import SeedSpec
+from gmprod.sampling import SeedSpec, h_samples, sample_product, sample_single
 
 
 def drawn_rates(spec, n, seed):
@@ -153,11 +153,12 @@ class TestEmpiricalPower:
         assert easy["accuracy"] > hard["accuracy"]
 
     def test_product_and_single_batches_are_disjoint_streams(self):
-        spec = ChainSpec(2, 2, (4,))
-        hp, hs = draw_h_samples(spec, 25, SeedSpec(11, 1000))
-        hp2, hs2 = draw_h_samples(spec, 25, SeedSpec(11, 1000))
-        assert (hp == hp2).all() and (hs == hs2).all()
-        assert hp.shape == hs.shape == (25,)
+        # product trial i on stream 1000 + i, single trial i on 1025 + i
+        spec, n, seed = ChainSpec(2, 2, (4,)), 25, SeedSpec(11, 1000)
+        hp, hs = draw_h_samples(spec, n, seed)
+        assert np.array_equal(hp, h_samples(sample_product, spec, n, seed))
+        assert np.array_equal(hs, h_samples(sample_single, spec, n, seed.stream(n)))
+        assert not np.array_equal(hs, h_samples(sample_single, spec, n, seed))
 
 
 class TestTvLowerBound:

@@ -8,9 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import philox_stream, random_orthogonal, stat_h
-from gmprod import engine
+from gmprod import sampling
 from gmprod.core import ChainSpec
-from gmprod.engine import _stacked_h, h_samples
+from gmprod.sampling import _stacked_h, h_samples
 from gmprod.sampling import SeedSpec, sample_product, sample_single, stream_rng
 
 SAMPLERS = {"product": sample_product, "single": sample_single}
@@ -57,7 +57,7 @@ def test_chunk_edges(monkeypatch, ensemble, n, cap):
     # (2,2,(4,)) stacks 4 entries per trial. Cap 12 gives chunks of 3
     # trials, so n = 10 ends on a partial chunk; cap 4 is exactly one
     # trial; cap 2 is below one, so each trial runs alone.
-    monkeypatch.setattr(engine, "_CHUNK_ENTRIES", cap)
+    monkeypatch.setattr(sampling, "_CHUNK_ENTRIES", cap)
     spec, seed = ChainSpec(2, 2, (4,)), SeedSpec(7, 100)
     assert np.array_equal(batch_h(ensemble, spec, n, seed), scalar_h(ensemble, spec, n, seed))
 
@@ -65,7 +65,7 @@ def test_chunk_edges(monkeypatch, ensemble, n, cap):
 def test_partial_last_chunk_at_the_real_cap():
     # 4 entries per trial: 8192 trials fill a chunk, 8195 leave three over
     spec, seed = ChainSpec(2, 2, (4,)), SeedSpec(3)
-    n = engine._CHUNK_ENTRIES // 4 + 3
+    n = sampling._CHUNK_ENTRIES // 4 + 3
     assert np.array_equal(batch_h("product", spec, n, seed), scalar_h("product", spec, n, seed))
 
 
@@ -125,11 +125,11 @@ def recording(sample, seen):
 def three_workers(monkeypatch):
     """Three workers whatever the machine, and thread switches as often as
     the interpreter allows; yields a function that sets the trials per chunk."""
-    monkeypatch.setattr(engine, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(sampling, "_cpu_count", lambda: 3)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        yield lambda spec, trials: monkeypatch.setattr(engine, "_CHUNK_ENTRIES", trials * spec.p * spec.q)
+        yield lambda spec, trials: monkeypatch.setattr(sampling, "_CHUNK_ENTRIES", trials * spec.p * spec.q)
     finally:
         sys.setswitchinterval(interval)
 
@@ -244,9 +244,9 @@ class TestSizeCap:
     def test_boundary(self, monkeypatch):
         # (2, 2, (4,)) draws 16 normals: a cap of 16 lets it through, 15 does not
         spec, seed = ChainSpec(2, 2, (4,)), SeedSpec(2)
-        monkeypatch.setattr(engine, "_MAX_TRIAL_NORMALS", 16)
+        monkeypatch.setattr(sampling, "_MAX_TRIAL_NORMALS", 16)
         assert np.array_equal(batch_h("product", spec, 3, seed), scalar_h("product", spec, 3, seed))
-        monkeypatch.setattr(engine, "_MAX_TRIAL_NORMALS", 15)
+        monkeypatch.setattr(sampling, "_MAX_TRIAL_NORMALS", 15)
         with pytest.raises(ValueError, match="limit"):
             batch_h("product", spec, 3, seed)
 

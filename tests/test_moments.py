@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from gmprod.core import ChainSpec
 from gmprod.distinguisher import build_test
-from gmprod.engine import h_samples
+from gmprod.sampling import h_samples
 from gmprod.moments import (
     WISHART_TRACE_MOMENTS,
     MomentVector,

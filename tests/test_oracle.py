@@ -8,7 +8,7 @@ import pytest
 from gmprod.core import ChainSpec
 from gmprod.moments import mean_h_product_exact, var_h_product_exact
 from gmprod.oracle import OracleBudgetError, WickBudget, wick_exact_mean_h, wick_exact_var_h_single
-from gmprod.engine import h_samples
+from gmprod.sampling import h_samples
 from gmprod.sampling import SeedSpec, sample_single
 from references import mc_mean, mc_variance
 from wick_reference import (
