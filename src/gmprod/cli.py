@@ -37,7 +37,7 @@ from .distinguisher import (
 )
 from .moments import closed_form_moments, mean_h_asymptotic, mean_h_product_exact, var_h_product_exact
 from .oracle import OracleBudgetError, WickBudget, wick_exact_mean_h, wick_exact_var_h_single
-from .sampling import SeedSpec
+from .sampling import SeedSpec, check_trial_size
 
 MOMENTS_CSV_HEADER = [
     "p", "q", "inner", "mean_product", "mean_asymptotic", "mean_single",
@@ -120,10 +120,11 @@ def cmd_distinguish(args):
     spec = ChainSpec(args.p, args.q, _parse_inner(args.inner))
     if args.trials < 10:
         raise ValueError("distinguish requires at least 10 trials per ensemble")
-    # draw first: the draw refuses an oversize chain at once, while the exact
-    # moments cost big-integer work that grows as r**2
-    h_product, h_single = draw_h_samples(spec, args.trials, SeedSpec(args.seed))
+    # cheapest refusal first: the size check is a sum over the chain, the exact
+    # moments are big-integer work that grows as r**2, the draw grows with --trials
+    check_trial_size(spec)
     plan = build_test(spec)
+    h_product, h_single = draw_h_samples(spec, args.trials, SeedSpec(args.seed))
     report = {
         "p": spec.p,
         "q": spec.q,
@@ -172,9 +173,10 @@ def cmd_sweep(args):
     rows = []
     for k, d in enumerate(grid):
         spec = ChainSpec(args.p, args.q, (d,) * (args.r - 1))
+        check_trial_size(spec)  # in the order of cmd_distinguish: cheapest refusal first
+        plan = build_test(spec)
         row_seed = SeedSpec(args.seed, k * 2 * args.trials)
         h_product, h_single = draw_h_samples(spec, args.trials, row_seed)
-        plan = build_test(spec)
         rows.append({
             "d": d,
             "accuracy": error_rates(h_product, h_single, plan)["accuracy"],

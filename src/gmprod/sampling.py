@@ -153,6 +153,24 @@ def _stacked_h(x: np.ndarray) -> np.ndarray:
     return (g * g).reshape(x.shape[0], -1).sum(axis=1)
 
 
+def check_trial_size(spec: ChainSpec) -> int:
+    """Normals one draw of the product chain takes, checked against the per-trial limit.
+
+    Raises ValueError when one trial would draw more than
+    ``_MAX_TRIAL_NORMALS`` normals or its matrix would hold more than that
+    many entries. The check costs a sum over the chain, so a caller can
+    refuse a chain with it before any other work.
+    """
+    dims = (spec.p, *spec.inner, spec.q)
+    normals = sum(a * b for a, b in zip(dims, dims[1:]))
+    if max(normals, spec.p * spec.q) > _MAX_TRIAL_NORMALS:
+        raise ValueError(
+            f"one trial would draw {normals} normals into a {spec.p} x {spec.q} matrix; "
+            f"the limit is {_MAX_TRIAL_NORMALS} values per trial"
+        )
+    return normals
+
+
 def h_samples(
     sample: Callable[[ChainSpec, np.random.Generator], np.ndarray],
     spec: ChainSpec,
@@ -161,20 +179,13 @@ def h_samples(
 ) -> np.ndarray:
     """h of n trials of ``sample(spec, rng)``, trial i on stream ``seed.stream_index + i``.
 
-    Raises ValueError, before drawing anything, when one trial of the
-    chain would draw more than ``_MAX_TRIAL_NORMALS`` normals or its
-    matrix would hold more than that many entries.
+    Raises ValueError, before drawing anything, when ``check_trial_size``
+    refuses the chain.
     """
     if n < 1:
         raise ValueError(f"need at least one trial, got {n}")
     seed.stream(n - 1)  # the last trial's stream index must fit in 64 bits
-    dims = (spec.p, *spec.inner, spec.q)
-    normals = sum(a * b for a, b in zip(dims, dims[1:]))  # one draw of the product chain
-    if max(normals, spec.p * spec.q) > _MAX_TRIAL_NORMALS:
-        raise ValueError(
-            f"one trial would draw {normals} normals into a {spec.p} x {spec.q} matrix; "
-            f"the limit is {_MAX_TRIAL_NORMALS} values per trial"
-        )
+    normals = check_trial_size(spec)
     chunk = max(1, min(n, _CHUNK_ENTRIES // (spec.p * spec.q)))
     # a chain whose matrix fills a stack alone (p*q > 2**14) gets chunks of one
     # trial, so it stays on one thread: threading it measured up to 2.4x slower

@@ -111,6 +111,34 @@ p,q,inner,mean_product,mean_asymptotic,mean_single,var_single,var_product,s1,s2,
   "wick_mean": "264/125"
 }
 """,
+    "oracle --p 3 --q 3": """\
+{
+  "closed_form_mean": "63/1",
+  "closed_form_variance": "4176/1",
+  "equal_mean": true,
+  "equal_variance": true,
+  "inner": [],
+  "max_monomials": 10000000,
+  "p": 3,
+  "q": 3,
+  "wick_mean": "63/1",
+  "wick_variance": "4176/1"
+}
+""",
+    "oracle --p 3 --q 4": """\
+{
+  "closed_form_mean": "96/1",
+  "closed_form_variance": "7200/1",
+  "equal_mean": true,
+  "equal_variance": true,
+  "inner": [],
+  "max_monomials": 10000000,
+  "p": 3,
+  "q": 4,
+  "wick_mean": "96/1",
+  "wick_variance": "7200/1"
+}
+""",
     "distinguish --p 2 --q 2 --inner 4 --trials 1000 --seed 7": """\
 {
   "accuracy": 0.495,
@@ -453,11 +481,13 @@ class TestOracle:
         assert "two factors" in err
 
     def test_budget_exit_code(self, capsys):
-        code, _, err = run_cli(
+        code, out, err = run_cli(
             ["oracle", "--p", "3", "--q", "3", "--inner", "3", "--max-monomials", "10"], capsys
         )
-        assert code == 3
-        assert "too large for exact oracle" in err
+        # the budget counts every monomial, p^2 q^2 d^4 = 6561, however the mean is enumerated
+        assert (code, out) == (3, "")
+        assert err == ("gmprod: mean enumeration needs 6561 monomials, over the budget of 10; "
+                       "too large for exact oracle\n")
 
     def test_budget_beyond_the_flat_index_refused(self, capsys):
         # 10**20 monomials cannot be addressed by an int64 flat index
@@ -661,6 +691,27 @@ def test_trial_above_the_size_limit_refused_before_the_exact_moments(argv, capsy
     code, out, err = run_cli(argv.split(), capsys)
     assert_refused(code, out, err)
     assert "limit" in err
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (f"distinguish --p 2 --q 2 --inner {','.join(['4'] * 4000)} --trials 100", "mu_product"),
+        ("sweep --p 2 --q 2 --r 4001 --d-min 4 --d-max 16 --steps 2 --trials 10", "mu_product"),
+    ],
+    ids=["distinguish", "sweep"],
+)
+def test_exact_value_too_large_for_a_float_refused_before_the_draw(argv, field, capsys, monkeypatch):
+    # the draw of a 4000-factor chain takes seconds and grows with --trials;
+    # the test plan refuses the chain first
+    def draw_h_samples(spec, n, seed):
+        raise AssertionError("the trials were drawn before the test plan")
+
+    monkeypatch.setattr(cli, "draw_h_samples", draw_h_samples)
+    code, out, err = run_cli(argv.split(), capsys)
+    assert_refused(code, out, err)
+    assert err.startswith(f"gmprod: {field} of this chain is about 10^")
+    assert "too large for a float" in err
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from gmprod import oracle
 from gmprod.core import ChainSpec
 from gmprod.moments import mean_h_product_exact, var_h_product_exact
 from gmprod.oracle import OracleBudgetError, WickBudget, wick_exact_mean_h, wick_exact_var_h_single
@@ -99,6 +100,24 @@ class TestBlockedEnumeration:
                 expected = Fraction(mean_h_unnormalized_single(p, q))
             assert wick_exact_mean_h(ChainSpec(p, q, inner)) == expected
 
+    @pytest.mark.parametrize("p, q, d", [(2, 3, 7), (1, 1, 11)])
+    def test_mean_over_several_blocks_equals_reference(self, p, q, d):
+        # the factorized mean, Σ_k M_B(k) M_G(k), against the p^2 q^2 d^4 loop
+        assert d**4 > oracle._BLOCK_ROWS // max(p * p, q * q)  # more than one block of k-tuples
+        expected = Fraction(mean_h_unnormalized_pair(p, d, q), d**4)
+        assert wick_exact_mean_h(ChainSpec(p, q, (d,))) == expected
+
+    @pytest.mark.parametrize("p, q, inner", [
+        (4, 4, (6,)),
+        (1, 1, (24,)),  # 331,776 inner tuples in 41 blocks
+        (91, 1, (2,)),  # p^2 = 8281 pairs, more than one block holds
+        (1, 91, (2,)),
+        (91, 2, ()),
+    ])
+    def test_mean_equals_closed_form(self, p, q, inner):
+        spec = ChainSpec(p, q, inner)
+        assert wick_exact_mean_h(spec) == mean_h_product_exact(spec)
+
     def test_variance_equals_reference(self):
         for p in range(1, 13):
             for q in range(1, 12 // p + 1):
@@ -107,6 +126,9 @@ class TestBlockedEnumeration:
     @pytest.mark.parametrize("call, args", [
         (wick_exact_var_h_single, (ChainSpec(4, 4),)),  # 65,536 monomials
         (wick_exact_mean_h, (ChainSpec(1, 1, (20,)),)),  # 160,000 monomials, all on the d^4 axes
+        # the largest blocks: 2^11 k-tuples, so 2^13 rows on each factor
+        (wick_exact_mean_h, (ChainSpec(2, 2, (12,)),)),
+        (wick_exact_mean_h, (ChainSpec(128, 1, (2,)),)),  # 2^14 row pairs, in two chunks per tuple
     ])
     def test_memory_does_not_grow_with_the_enumeration(self, call, args):
         tracemalloc.start()
