@@ -288,7 +288,7 @@ def main(argv=None) -> int:
         return 3
     except (ValueError, OverflowError, MemoryError) as exc:
         # OverflowError: a dimension too large to convert to a float;
-        # MemoryError: a --trials or --steps too large to allocate
+        # MemoryError: a --steps too large to allocate
         print(f"gmprod: {exc}", file=sys.stderr)
         return 2
     if args.out is not None:

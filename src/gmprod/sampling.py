@@ -180,7 +180,7 @@ def h_samples(
     """h of n trials of ``sample(spec, rng)``, trial i on stream ``seed.stream_index + i``.
 
     Raises ValueError, before drawing anything, when ``check_trial_size``
-    refuses the chain.
+    refuses the chain or the n values cannot be allocated.
     """
     if n < 1:
         raise ValueError(f"need at least one trial, got {n}")
@@ -191,7 +191,10 @@ def h_samples(
     # trial, so it stays on one thread: threading it measured up to 2.4x slower
     workers = min(_cpu_count(), chunk) if normals >= _PARALLEL_NORMALS else 1
     key = np.array([seed.master_seed, 0], dtype=np.uint64)
-    out = np.empty(n)
+    try:
+        out = np.empty(n)
+    except (ValueError, MemoryError):  # numpy's own message names no option
+        raise ValueError(f"cannot allocate the values of {n} trials; use fewer trials") from None
     errors: list[BaseException | None] = [None] * workers
 
     def work(w: int) -> None:

@@ -490,7 +490,7 @@ class TestOracle:
                        "too large for exact oracle\n")
 
     def test_budget_beyond_the_flat_index_refused(self, capsys):
-        # 10**20 monomials cannot be addressed by an int64 flat index
+        # the CLI documents a budget of at most 2^63 - 1 monomials; 10**20 is past it
         code, out, err = run_cli(
             ["oracle", "--p", "1", "--q", "1", "--inner", "100000",
              "--max-monomials", "100000000000000000000"], capsys
@@ -737,12 +737,20 @@ def test_chain_without_inner_dimension_refused(argv, capsys):
         ["distinguish", "--p", "2", "--q", "2", "--inner", "4", "--trials", str(10**15)],
         ["sweep", "--p", "1", "--q", "1", "--d-min", "1", "--d-max", "2", "--steps", str(10**15)],
         ["sweep", "--p", "1", "--q", "1", "--d-min", "1", "--d-max", str(10**16), "--steps", str(10**15)],
+        # past numpy's shape limits, which it reports in its own words
+        ["distinguish", "--p", "2", "--q", "2", "--inner", "4", "--trials", str(2**63), "--seed", "1"],
+        ["sweep", "--p", "2", "--q", "2", "--d-min", "4", "--d-max", "8", "--steps", "2",
+         "--trials", str(2**62)],
     ],
-    ids=["distinguish-trials", "sweep-steps", "sweep-grid"],
+    ids=["distinguish-trials", "sweep-steps", "sweep-grid", "distinguish-trials-2^63",
+         "sweep-trials-2^62"],
 )
 def test_allocation_too_large_refused(argv, capsys):
     code, out, err = run_cli(argv, capsys)
     assert_refused(code, out, err)
+    if "--trials" in argv:
+        trials = argv[argv.index("--trials") + 1]
+        assert f"{trials} trials" in err
 
 
 def run_generated(argv):

@@ -88,7 +88,7 @@ class TestSpecOnly:
 
 
 class TestBlockedEnumeration:
-    """The blocked numpy enumeration against the one-monomial-at-a-time reference."""
+    """The sum over Wick pairings against the one-monomial-at-a-time reference and the closed forms."""
 
     @pytest.mark.parametrize("inner", [(), (1,), (2,), (3,)])
     def test_mean_equals_reference(self, inner):
@@ -102,33 +102,54 @@ class TestBlockedEnumeration:
 
     @pytest.mark.parametrize("p, q, d", [(2, 3, 7), (1, 1, 11)])
     def test_mean_over_several_blocks_equals_reference(self, p, q, d):
-        # the factorized mean, Σ_k M_B(k) M_G(k), against the p^2 q^2 d^4 loop
-        assert d**4 > oracle._BLOCK_ROWS // max(p * p, q * q)  # more than one block of k-tuples
+        # the pairing sum against the p^2 q^2 d^4 loop, with d^4 large against p^2 q^2
         expected = Fraction(mean_h_unnormalized_pair(p, d, q), d**4)
         assert wick_exact_mean_h(ChainSpec(p, q, (d,))) == expected
 
     @pytest.mark.parametrize("p, q, inner", [
         (4, 4, (6,)),
-        (1, 1, (24,)),  # 331,776 inner tuples in 41 blocks
-        (91, 1, (2,)),  # p^2 = 8281 pairs, more than one block holds
+        (1, 1, (24,)),  # 331,776 inner tuples
+        (91, 1, (2,)),  # p^2 = 8281 row pairs
         (1, 91, (2,)),
         (91, 2, ()),
+        # the largest shapes the default budget admits: 9,837,632 and 9,834,496 monomials
+        (7, 8, ()),
+        (1, 1, (56,)),
     ])
     def test_mean_equals_closed_form(self, p, q, inner):
         spec = ChainSpec(p, q, inner)
         assert wick_exact_mean_h(spec) == mean_h_product_exact(spec)
+        if not inner and (p * q) ** 4 <= WickBudget().max_monomials:
+            # a single factor's variance too, where the default budget admits it
+            assert wick_exact_var_h_single(spec) == var_h_product_exact(spec)
 
     def test_variance_equals_reference(self):
         for p in range(1, 13):
             for q in range(1, 12 // p + 1):
                 assert wick_exact_var_h_single(ChainSpec(p, q)) == Fraction(var_h_unnormalized_single(p, q))
 
+    def test_two_factor_variance_equals_closed_form(self):
+        # the public variance refuses a chain; the pairing sum itself covers one:
+        # E h^2 - (E h)^2 over the 105^2 pairings of h^2's sixteen factor entries
+        for p, q, d in product(range(1, 5), range(1, 5), range(1, 6)):
+            spec = ChainSpec(p, q, (d,))
+            assert oracle._moment(spec, 2) - oracle._moment(spec, 1) ** 2 == var_h_product_exact(spec)
+
+    @pytest.mark.parametrize("inner", [(2, 3, 2), (1, 2, 1), (2, 5, 4, 2)])
+    def test_deeper_chain_mean_equals_closed_form(self, inner):
+        # the public mean refuses r > 2; the pairing sum is 3^r terms for any chain
+        for p, q in product((1, 2, 3), repeat=2):
+            spec = ChainSpec(p, q, inner)
+            assert oracle._moment(spec, 1) == mean_h_product_exact(spec)
+
     @pytest.mark.parametrize("call, args", [
         (wick_exact_var_h_single, (ChainSpec(4, 4),)),  # 65,536 monomials
         (wick_exact_mean_h, (ChainSpec(1, 1, (20,)),)),  # 160,000 monomials, all on the d^4 axes
-        # the largest blocks: 2^11 k-tuples, so 2^13 rows on each factor
         (wick_exact_mean_h, (ChainSpec(2, 2, (12,)),)),
-        (wick_exact_mean_h, (ChainSpec(128, 1, (2,)),)),  # 2^14 row pairs, in two chunks per tuple
+        (wick_exact_mean_h, (ChainSpec(128, 1, (2,)),)),  # 2^14 row pairs
+        # the largest shapes the default budget admits
+        (wick_exact_var_h_single, (ChainSpec(7, 8),)),
+        (wick_exact_mean_h, (ChainSpec(1, 1, (56,)),)),
     ])
     def test_memory_does_not_grow_with_the_enumeration(self, call, args):
         tracemalloc.start()
