@@ -13,17 +13,27 @@ choice of one pairing per factor contributes the product of the sizes of its
 classes of tied variables. E h is then 3^r terms and E h^2 is 105^r,
 whatever the dimensions.
 
-``WickBudget`` caps what the CLI accepts, in the monomials of the full
-expansion: p^2 q^2 d^4 for a two-factor mean, p^2 q^2 and (p^2 q^2)^2 for
-a single factor's mean and variance. Chains have at most two factors.
+Which variables a choice ties depends only on r and the power, and each
+class lies at one level of the chain, so the sum is a polynomial in the
+dimensions. The pairings are enumerated once per (r, power) in a process,
+into a table of how many choices leave each number of classes per level;
+every call then evaluates that polynomial at its own dimensions.
+
+``WickBudget`` caps which shapes the CLI accepts, in the monomials of the
+full expansion: p^2 q^2 d^4 for a two-factor mean, p^2 q^2 and (p^2 q^2)^2
+for a single factor's mean and variance. It bounds no work the oracle
+does. Chains have at most two factors.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
+from types import MappingProxyType
 
 from .core import ChainSpec
 
@@ -75,47 +85,51 @@ def _matchings(n: int) -> list[tuple[tuple[int, int], ...]]:
     return out
 
 
-def _paths(spec: ChainSpec, power: int) -> tuple[list[list[int]], list[int]]:
-    """The A-entries of h^power as paths of index variables, and each variable's size.
+def _paths(r: int, power: int) -> tuple[list[list[int]], list[int]]:
+    """The A-entries of h^power as paths of index variables, and each variable's level.
 
     Path e lists its variable at each level 0..r of the chain. Each copy
     of h has its own i, j (level 0) and a, b (level r), shared by its four
     entries A_ia, A_ib, A_jb, A_ja; every inner level is a new variable per path.
     """
-    dims = (spec.p, *spec.inner, spec.q)
-    sizes: list[int] = []
+    levels: list[int] = []
 
     def new(level: int) -> int:
-        sizes.append(dims[level])
-        return len(sizes) - 1
+        levels.append(level)
+        return len(levels) - 1
 
     paths = []
     for _ in range(power):
-        i, j, a, b = new(0), new(0), new(spec.r), new(spec.r)
+        i, j, a, b = new(0), new(0), new(r), new(r)
         for row, col in ((i, a), (i, b), (j, b), (j, a)):
-            paths.append([row, *(new(level) for level in range(1, spec.r)), col])
-    return paths, sizes
+            paths.append([row, *(new(level) for level in range(1, r)), col])
+    return paths, levels
 
 
-def _moment(spec: ChainSpec, power: int) -> Fraction:
-    """E h^power of the chain, scaled as the sampler scales it, summed over Wick pairings.
+@functools.cache
+def _pairing_table(r: int, power: int) -> MappingProxyType[tuple[int, ...], int]:
+    """How many choices of one pairing per factor leave each number of classes per level.
 
-    A one-factor chain gives the bare unnormalized Gaussian.
+    A key lists, for the levels 0..r of the chain, how many classes of tied
+    variables fall at that level; every class lies at one level, since a
+    pairing ties rows with rows and columns with columns. The counts sum to
+    3^r for power 1 and 105^r for power 2. The table depends on no
+    dimension, so it is built once per (r, power) and shared by every shape.
     """
-    paths, sizes = _paths(spec, power)
+    paths, levels = _paths(r, power)
     matchings = _matchings(len(paths))
     # per factor m and per matching of its slots (slot e is X_m[paths[e][m], paths[e][m + 1]]),
     # the pairs of variables the matching ties: row with row and column with column
     ties = [
         [[(paths[e][m + end], paths[f][m + end]) for e, f in matching for end in (0, 1)]
          for matching in matchings]
-        for m in range(spec.r)
+        for m in range(r)
     ]
-    full = math.prod(sizes)
-    total = 0
+    untied = [levels.count(level) for level in range(r + 1)]
+    table: Counter[tuple[int, ...]] = Counter()
     for choice in product(*ties):
-        parent = list(range(len(sizes)))
-        term = full  # the product of the class sizes: one size drops out per merge
+        parent = list(range(len(levels)))
+        classes = untied.copy()  # one class at u's level drops out per merge
         for u, v in chain.from_iterable(choice):
             while parent[u] != u:
                 u = parent[u]
@@ -123,8 +137,25 @@ def _moment(spec: ChainSpec, power: int) -> Fraction:
                 v = parent[v]
             if u != v:
                 parent[u] = v
-                term //= sizes[u]
-        total += term
+                classes[levels[u]] -= 1
+        table[tuple(classes)] += 1
+    return MappingProxyType(dict(table))
+
+
+def _moment(spec: ChainSpec, power: int) -> Fraction:
+    """E h^power of the chain, scaled as the sampler scales it, summed over Wick pairings.
+
+    Each choice of pairings contributes the product of the sizes of its
+    classes of tied variables, so the sum is a polynomial in the chain's
+    dimensions with the coefficients of ``_pairing_table(r, power)``,
+    evaluated here in exact integers. A one-factor chain gives the bare
+    unnormalized Gaussian.
+    """
+    dims = (spec.p, *spec.inner, spec.q)
+    total = sum(
+        count * math.prod(map(pow, dims, exponents))
+        for exponents, count in _pairing_table(spec.r, power).items()
+    )
     # factor m is scaled by 1/sqrt of its column count, the last by 1/sqrt(d1)
     return Fraction(total, math.prod(spec.inner + spec.inner[:1]) ** (2 * power))
 

@@ -101,7 +101,7 @@ class TestBlockedEnumeration:
             assert wick_exact_mean_h(ChainSpec(p, q, inner)) == expected
 
     @pytest.mark.parametrize("p, q, d", [(2, 3, 7), (1, 1, 11)])
-    def test_mean_over_several_blocks_equals_reference(self, p, q, d):
+    def test_mean_with_a_large_inner_dimension_equals_reference(self, p, q, d):
         # the pairing sum against the p^2 q^2 d^4 loop, with d^4 large against p^2 q^2
         expected = Fraction(mean_h_unnormalized_pair(p, d, q), d**4)
         assert wick_exact_mean_h(ChainSpec(p, q, (d,))) == expected
@@ -131,7 +131,7 @@ class TestBlockedEnumeration:
     def test_two_factor_variance_equals_closed_form(self):
         # the public variance refuses a chain; the pairing sum itself covers one:
         # E h^2 - (E h)^2 over the 105^2 pairings of h^2's sixteen factor entries
-        for p, q, d in product(range(1, 5), range(1, 5), range(1, 6)):
+        for p, q, d in product(range(1, 7), range(1, 7), range(1, 9)):
             spec = ChainSpec(p, q, (d,))
             assert oracle._moment(spec, 2) - oracle._moment(spec, 1) ** 2 == var_h_product_exact(spec)
 
@@ -152,6 +152,7 @@ class TestBlockedEnumeration:
         (wick_exact_mean_h, (ChainSpec(1, 1, (56,)),)),
     ])
     def test_memory_does_not_grow_with_the_enumeration(self, call, args):
+        oracle._pairing_table.cache_clear()  # bound a cold enumeration, not a cache hit
         tracemalloc.start()
         try:
             call(*args)
@@ -159,6 +160,48 @@ class TestBlockedEnumeration:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+
+class TestPairingTable:
+    """The pairings are enumerated once per (r, power), as a polynomial in the dimensions."""
+
+    def test_one_factor_mean_is_pq_times_p_plus_q_plus_one(self):
+        # exponents of (p, q)
+        assert oracle._pairing_table(1, 1) == {(2, 1): 1, (1, 2): 1, (1, 1): 1}
+
+    def test_two_factor_mean_expands_the_closed_form(self):
+        # pq(p+q+1) d(d+2) + pq(p-1)(q-1) d, exponents of (p, d, q)
+        assert oracle._pairing_table(2, 1) == {
+            (2, 2, 1): 1, (1, 2, 2): 1, (1, 2, 1): 1, (2, 1, 1): 1, (1, 1, 2): 1, (1, 1, 1): 3, (2, 1, 2): 1,
+        }
+
+    @pytest.mark.parametrize("r, power, choices", [(1, 1, 3), (2, 1, 3**2), (3, 1, 3**3), (1, 2, 105), (2, 2, 105**2)])
+    def test_counts_sum_to_the_number_of_choices(self, r, power, choices):
+        assert sum(oracle._pairing_table(r, power).values()) == choices
+
+    def test_values_do_not_depend_on_call_order(self):
+        calls = [
+            (wick_exact_mean_h, (ChainSpec(3, 2),)),
+            (wick_exact_var_h_single, (ChainSpec(2, 3),)),
+            (wick_exact_mean_h, (ChainSpec(2, 3, (4,)),)),
+            (oracle._moment, (ChainSpec(2, 1, (3,)), 2)),
+            (oracle._moment, (ChainSpec(2, 3, (2, 2)), 1)),
+        ]
+
+        def run(order):
+            return {k: calls[k][0](*calls[k][1]) for k in order}
+
+        cold = {}
+        for k, (call, args) in enumerate(calls):
+            oracle._pairing_table.cache_clear()
+            cold[k] = call(*args)
+        oracle._pairing_table.cache_clear()
+        forward = run(range(len(calls)))
+        backward = run(reversed(range(len(calls))))
+        oracle._pairing_table.cache_clear()
+        backward_cold = run(reversed(range(len(calls))))
+        assert forward == backward == backward_cold == cold
+        assert all(type(value) is Fraction for value in cold.values())
 
 
 class TestMcMean:
