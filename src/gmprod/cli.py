@@ -37,7 +37,7 @@ from .distinguisher import (
 )
 from .moments import closed_form_moments, mean_h_asymptotic, mean_h_product_exact, var_h_product_exact
 from .oracle import OracleBudgetError, WickBudget, wick_exact_mean_h, wick_exact_var_h_single
-from .sampling import SeedSpec, check_trial_size
+from .sampling import _MAX_TRIAL_NORMALS, SeedSpec, check_trial_size
 
 MOMENTS_CSV_HEADER = [
     "p", "q", "inner", "mean_product", "mean_asymptotic", "mean_single",
@@ -169,6 +169,15 @@ def cmd_sweep(args):
         raise ValueError(
             f"{args.steps} steps from {args.d_min} to {args.d_max} give only "
             f"{len(set(grid))} distinct values of d after rounding; use fewer steps"
+        )
+    # the per-trial size rule, applied before an inner tuple of r - 1 dimensions is built:
+    # the r - 2 factors between inner dimensions draw at least d-min^2 normals each
+    inner_normals = (args.r - 2) * args.d_min**2
+    if inner_normals > _MAX_TRIAL_NORMALS:
+        raise ValueError(
+            f"--r {args.r} and --d-min {args.d_min} give a chain whose inner factors alone would "
+            f"draw at least {inner_normals} normals per trial; the limit is {_MAX_TRIAL_NORMALS} "
+            "values per trial"
         )
     rows = []
     for k, d in enumerate(grid):

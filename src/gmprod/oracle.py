@@ -13,11 +13,15 @@ choice of one pairing per factor contributes the product of the sizes of its
 classes of tied variables. E h is then 3^r terms and E h^2 is 105^r,
 whatever the dimensions.
 
-Which variables a choice ties depends only on r and the power, and each
-class lies at one level of the chain, so the sum is a polynomial in the
-dimensions. The pairings are enumerated once per (r, power) in a process,
-into a table of how many choices leave each number of classes per level;
-every call then evaluates that polynomial at its own dimensions.
+Which variables a choice ties depends only on r and the power, so the sum
+is a polynomial in the dimensions. Each class lies at one level of the
+chain, and its count there depends only on the pairings that tie it: the
+first factor's for level 0 (each copy's i and j), the last's for level r
+(a and b), and at inner level m the loops that the pairings of factors m
+and m + 1 close (the loop count of the pairings' Gram matrix, as in
+Collins & Sniady 2006). So a table of how many choices leave each number
+of classes per level is built level by level, once per (r, power); every
+call evaluates it at its own dimensions.
 
 ``WickBudget`` caps which shapes the CLI accepts, in the monomials of the
 full expansion: p^2 q^2 d^4 for a two-factor mean, p^2 q^2 and (p^2 q^2)^2
@@ -32,7 +36,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, product
 from types import MappingProxyType
 
 from .core import ChainSpec
@@ -85,60 +88,53 @@ def _matchings(n: int) -> list[tuple[tuple[int, int], ...]]:
     return out
 
 
-def _paths(r: int, power: int) -> tuple[list[list[int]], list[int]]:
-    """The A-entries of h^power as paths of index variables, and each variable's level.
-
-    Path e lists its variable at each level 0..r of the chain. Each copy
-    of h has its own i, j (level 0) and a, b (level r), shared by its four
-    entries A_ia, A_ib, A_jb, A_ja; every inner level is a new variable per path.
-    """
-    levels: list[int] = []
-
-    def new(level: int) -> int:
-        levels.append(level)
-        return len(levels) - 1
-
-    paths = []
-    for _ in range(power):
-        i, j, a, b = new(0), new(0), new(r), new(r)
-        for row, col in ((i, a), (i, b), (j, b), (j, a)):
-            paths.append([row, *(new(level) for level in range(1, r)), col])
-    return paths, levels
+def _classes(n: int, ties) -> int:
+    """How many classes the variables 0..n-1 fall into once each pair in ``ties`` is tied."""
+    parent = list(range(n))
+    for u, v in ties:
+        while parent[u] != u:
+            u = parent[u]
+        while parent[v] != v:
+            v = parent[v]
+        if u != v:
+            parent[u] = v
+            n -= 1
+    return n
 
 
 @functools.cache
 def _pairing_table(r: int, power: int) -> MappingProxyType[tuple[int, ...], int]:
     """How many choices of one pairing per factor leave each number of classes per level.
 
-    A key lists, for the levels 0..r of the chain, how many classes of tied
-    variables fall at that level; every class lies at one level, since a
-    pairing ties rows with rows and columns with columns. The counts sum to
-    3^r for power 1 and 105^r for power 2. The table depends on no
-    dimension, so it is built once per (r, power) and shared by every shape.
+    A key lists how many classes of tied variables fall at each level 0..r
+    of the chain. It is built one level at a time, keeping a Counter of the
+    keys so far per pairing of the current factor; each inner level adds
+    the loop count of its two factors' pairings. The counts sum to 3^r for
+    power 1 and 105^r for power 2. The table depends on no dimension, so it
+    is built once per (r, power) and shared by every shape.
     """
-    paths, levels = _paths(r, power)
-    matchings = _matchings(len(paths))
-    # per factor m and per matching of its slots (slot e is X_m[paths[e][m], paths[e][m + 1]]),
-    # the pairs of variables the matching ties: row with row and column with column
-    ties = [
-        [[(paths[e][m + end], paths[f][m + end]) for e, f in matching for end in (0, 1)]
-         for matching in matchings]
-        for m in range(r)
-    ]
-    untied = [levels.count(level) for level in range(r + 1)]
+    n = 4 * power
+    matchings = _matchings(n)
+    # slot e is the e-th entry of h^power; copy c's entries A_ia, A_ib, A_jb, A_ja
+    # have row variables i, i, j, j and column variables a, b, b, a
+    rows = [2 * c + k for c in range(power) for k in (0, 0, 1, 1)]
+    cols = [2 * c + k for c in range(power) for k in (0, 1, 1, 0)]
+
+    def boundary_classes(variables, mu):  # at level 0 or r, 2 * power variables
+        return _classes(2 * power, ((variables[e], variables[f]) for e, f in mu))
+
+    loops = [[_classes(n, mu + nu) for nu in matchings] for mu in matchings] if r > 1 else []
+    prefixes = [{(boundary_classes(rows, mu),): 1} for mu in matchings]
+    for _ in range(r - 1):
+        grown = [Counter() for _ in matchings]
+        for counter, mu_loops in zip(prefixes, loops):
+            for target, classes in zip(grown, mu_loops):
+                target.update({key + (classes,): count for key, count in counter.items()})
+        prefixes = grown
     table: Counter[tuple[int, ...]] = Counter()
-    for choice in product(*ties):
-        parent = list(range(len(levels)))
-        classes = untied.copy()  # one class at u's level drops out per merge
-        for u, v in chain.from_iterable(choice):
-            while parent[u] != u:
-                u = parent[u]
-            while parent[v] != v:
-                v = parent[v]
-            if u != v:
-                parent[u] = v
-                classes[levels[u]] -= 1
-        table[tuple(classes)] += 1
+    for counter, mu in zip(prefixes, matchings):
+        classes = boundary_classes(cols, mu)
+        table.update({key + (classes,): count for key, count in counter.items()})
     return MappingProxyType(dict(table))
 
 

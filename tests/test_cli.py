@@ -741,9 +741,12 @@ def test_chain_without_inner_dimension_refused(argv, capsys):
         ["distinguish", "--p", "2", "--q", "2", "--inner", "4", "--trials", str(2**63), "--seed", "1"],
         ["sweep", "--p", "2", "--q", "2", "--d-min", "4", "--d-max", "8", "--steps", "2",
          "--trials", str(2**62)],
+        # an inner tuple of 10**11 dimensions once raised a bare MemoryError
+        ["sweep", "--p", "2", "--q", "2", "--d-min", "2", "--d-max", "3", "--steps", "2",
+         "--r", str(10**11)],
     ],
     ids=["distinguish-trials", "sweep-steps", "sweep-grid", "distinguish-trials-2^63",
-         "sweep-trials-2^62"],
+         "sweep-trials-2^62", "sweep-r"],
 )
 def test_allocation_too_large_refused(argv, capsys):
     code, out, err = run_cli(argv, capsys)
@@ -751,6 +754,9 @@ def test_allocation_too_large_refused(argv, capsys):
     if "--trials" in argv:
         trials = argv[argv.index("--trials") + 1]
         assert f"{trials} trials" in err
+    if "--r" in argv:
+        r = argv[argv.index("--r") + 1]
+        assert err.startswith(f"gmprod: --r {r} and --d-min 2 give a chain") and "limit" in err
 
 
 def run_generated(argv):

@@ -87,7 +87,7 @@ class TestSpecOnly:
             wick_exact_var_h_single(ChainSpec(2, 2, (4,)))
 
 
-class TestBlockedEnumeration:
+class TestPairingSum:
     """The sum over Wick pairings against the one-monomial-at-a-time reference and the closed forms."""
 
     @pytest.mark.parametrize("inner", [(), (1,), (2,), (3,)])
@@ -135,12 +135,15 @@ class TestBlockedEnumeration:
             spec = ChainSpec(p, q, (d,))
             assert oracle._moment(spec, 2) - oracle._moment(spec, 1) ** 2 == var_h_product_exact(spec)
 
-    @pytest.mark.parametrize("inner", [(2, 3, 2), (1, 2, 1), (2, 5, 4, 2)])
-    def test_deeper_chain_mean_equals_closed_form(self, inner):
-        # the public mean refuses r > 2; the pairing sum is 3^r terms for any chain
+    @pytest.mark.parametrize("inner", [(2, 3, 2), (1, 2, 1), (2, 5, 4, 2), (2, 2)])
+    def test_deeper_chain_moments_equal_closed_form(self, inner):
+        # the public functions refuse r > 2; the pairing sum covers any chain,
+        # here r = 3, 4 and 5, with E h^2 over 105^r choices of pairings
         for p, q in product((1, 2, 3), repeat=2):
             spec = ChainSpec(p, q, inner)
-            assert oracle._moment(spec, 1) == mean_h_product_exact(spec)
+            mean = oracle._moment(spec, 1)
+            assert mean == mean_h_product_exact(spec)
+            assert oracle._moment(spec, 2) - mean**2 == var_h_product_exact(spec)
 
     @pytest.mark.parametrize("call, args", [
         (wick_exact_var_h_single, (ChainSpec(4, 4),)),  # 65,536 monomials
@@ -175,7 +178,9 @@ class TestPairingTable:
             (2, 2, 1): 1, (1, 2, 2): 1, (1, 2, 1): 1, (2, 1, 1): 1, (1, 1, 2): 1, (1, 1, 1): 3, (2, 1, 2): 1,
         }
 
-    @pytest.mark.parametrize("r, power, choices", [(1, 1, 3), (2, 1, 3**2), (3, 1, 3**3), (1, 2, 105), (2, 2, 105**2)])
+    @pytest.mark.parametrize("r, power, choices", [
+        (1, 1, 3), (2, 1, 3**2), (3, 1, 3**3), (1, 2, 105), (2, 2, 105**2), (3, 2, 105**3), (4, 2, 105**4),
+    ])
     def test_counts_sum_to_the_number_of_choices(self, r, power, choices):
         assert sum(oracle._pairing_table(r, power).values()) == choices
 
