@@ -13,30 +13,30 @@ choice of one pairing per factor contributes the product of the sizes of its
 classes of tied variables. E h is then 3^r terms and E h^2 is 105^r,
 whatever the dimensions.
 
-Which variables a choice ties depends only on r and the power, so the sum
-is a polynomial in the dimensions. Each class lies at one level of the
-chain, and its count there depends only on the pairings that tie it: the
-first factor's for level 0 (each copy's i and j), the last's for level r
-(a and b), and at inner level m the loops that the pairings of factors m
-and m + 1 close (the loop count of the pairings' Gram matrix, as in
-Collins & Sniady 2006). So a table of how many choices leave each number
-of classes per level is built level by level, once per (r, power); every
-call evaluates it at its own dimensions.
+Each class lies at one level of the chain, and its count there depends
+only on the pairings that tie it: the first factor's for level 0 (each
+copy's i and j), the last's for level r (a and b), and at inner level m
+the loops that the pairings of factors m and m + 1 close (the loop-counting
+Gram matrix of pairings, as in Collins & Sniady 2006). So the sum is a
+product over the levels: a vector over the first factor's pairings,
+v_0[mu] = p^(row classes of mu), goes through T(d)[mu, nu] = d^loops(mu, nu)
+once per inner dimension d and is closed against v_r[nu] = q^(column
+classes of nu). A factor's slots have 3 pairings for E h and 105 for
+E h^2, so the cost is linear in r.
 
 ``WickBudget`` caps which shapes the CLI accepts, in the monomials of the
 full expansion: p^2 q^2 d^4 for a two-factor mean, p^2 q^2 and (p^2 q^2)^2
 for a single factor's mean and variance. It bounds no work the oracle
-does. Chains have at most two factors.
+does. The public functions take chains of at most two factors.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections import Counter
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from types import MappingProxyType
 
 from .core import ChainSpec
 
@@ -50,7 +50,7 @@ class WickBudget:
     """Cap on the monomials of the full expansion, at most 2^63 - 1.
 
     It limits which shapes the oracle accepts, not the cost of the pairing
-    sum, which depends only on the number of factors.
+    sum, which is one loop-matrix product per inner dimension.
     """
 
     max_monomials: int = 10_000_000
@@ -103,55 +103,53 @@ def _classes(n: int, ties) -> int:
 
 
 @functools.cache
-def _pairing_table(r: int, power: int) -> MappingProxyType[tuple[int, ...], int]:
-    """How many choices of one pairing per factor leave each number of classes per level.
+def _boundary_classes(power: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The classes each pairing of a factor's slots leaves among the rows, and among the columns.
 
-    A key lists how many classes of tied variables fall at each level 0..r
-    of the chain. It is built one level at a time, keeping a Counter of the
-    keys so far per pairing of the current factor; each inner level adds
-    the loop count of its two factors' pairings. The counts sum to 3^r for
-    power 1 and 105^r for power 2. The table depends on no dimension, so it
-    is built once per (r, power) and shared by every shape.
+    Slot e is the e-th entry of h^power; copy c's entries A_ia, A_ib, A_jb,
+    A_ja have row variables i, i, j, j and column variables a, b, b, a.
     """
-    n = 4 * power
-    matchings = _matchings(n)
-    # slot e is the e-th entry of h^power; copy c's entries A_ia, A_ib, A_jb, A_ja
-    # have row variables i, i, j, j and column variables a, b, b, a
     rows = [2 * c + k for c in range(power) for k in (0, 0, 1, 1)]
     cols = [2 * c + k for c in range(power) for k in (0, 1, 1, 0)]
+    matchings = _matchings(4 * power)
+    return tuple(
+        tuple(_classes(2 * power, ((ends[e], ends[f]) for e, f in mu)) for mu in matchings)
+        for ends in (rows, cols)
+    )
 
-    def boundary_classes(variables, mu):  # at level 0 or r, 2 * power variables
-        return _classes(2 * power, ((variables[e], variables[f]) for e, f in mu))
 
-    loops = [[_classes(n, mu + nu) for nu in matchings] for mu in matchings] if r > 1 else []
-    prefixes = [{(boundary_classes(rows, mu),): 1} for mu in matchings]
-    for _ in range(r - 1):
-        grown = [Counter() for _ in matchings]
-        for counter, mu_loops in zip(prefixes, loops):
-            for target, classes in zip(grown, mu_loops):
-                target.update({key + (classes,): count for key, count in counter.items()})
-        prefixes = grown
-    table: Counter[tuple[int, ...]] = Counter()
-    for counter, mu in zip(prefixes, matchings):
-        classes = boundary_classes(cols, mu)
-        table.update({key + (classes,): count for key, count in counter.items()})
-    return MappingProxyType(dict(table))
+@functools.cache
+def _loops(power: int) -> tuple[tuple[int, ...], ...]:
+    """The loop matrix: how many loops the pairings mu and nu of two adjacent factors close.
+
+    It is symmetric, since mu and nu tie the same variables in either order.
+    """
+    matchings = _matchings(4 * power)
+    return tuple(tuple(_classes(4 * power, mu + nu) for nu in matchings) for mu in matchings)
 
 
 def _moment(spec: ChainSpec, power: int) -> Fraction:
     """E h^power of the chain, scaled as the sampler scales it, summed over Wick pairings.
 
-    Each choice of pairings contributes the product of the sizes of its
-    classes of tied variables, so the sum is a polynomial in the chain's
-    dimensions with the coefficients of ``_pairing_table(r, power)``,
-    evaluated here in exact integers. A one-factor chain gives the bare
+    It is the product over the chain's levels that the module docstring
+    describes, in exact integers. A one-factor chain gives the bare
     unnormalized Gaussian.
     """
-    dims = (spec.p, *spec.inner, spec.q)
-    total = sum(
-        count * math.prod(map(pow, dims, exponents))
-        for exponents, count in _pairing_table(spec.r, power).items()
-    )
+    rows, cols = _boundary_classes(power)
+
+    def powers(x):  # no level has more than 2 * power classes
+        return [x**k for k in range(2 * power + 1)]
+
+    p_powers = powers(spec.p)
+    vector = list(map(p_powers.__getitem__, rows))
+    for d in spec.inner:
+        d_powers = powers(d)
+        # T(d) is symmetric, so the entry for nu is row nu of T(d) against the vector
+        vector = [
+            sum(map(operator.mul, vector, map(d_powers.__getitem__, row))) for row in _loops(power)
+        ]
+    q_powers = powers(spec.q)
+    total = sum(map(operator.mul, vector, map(q_powers.__getitem__, cols)))
     # factor m is scaled by 1/sqrt of its column count, the last by 1/sqrt(d1)
     return Fraction(total, math.prod(spec.inner + spec.inner[:1]) ** (2 * power))
 

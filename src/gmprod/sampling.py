@@ -61,9 +61,13 @@ _PARALLEL_NORMALS = 1 << 12
 _MAX_TRIAL_NORMALS = 1 << 26
 
 
+def _u64_error(name: str, value) -> ValueError:
+    return ValueError(f"{name} must be an unsigned 64-bit integer, got {value!r}")
+
+
 def _check_u64(name: str, value) -> None:
     if not isinstance(value, int) or not 0 <= value < _U64:
-        raise ValueError(f"{name} must be an unsigned 64-bit integer, got {value!r}")
+        raise _u64_error(name, value)
 
 
 @dataclass(frozen=True)
@@ -74,8 +78,13 @@ class SeedSpec:
     stream_index: int = 0
 
     def __post_init__(self):
-        _check_u64("master_seed", self.master_seed)
-        _check_u64("stream_index", self.stream_index)
+        for name in ("master_seed", "stream_index"):
+            value = getattr(self, name)
+            # a bool is an int, but no seed; stream_rng need not test for one,
+            # since the index it checks is a sum, which is never a bool
+            if isinstance(value, bool):
+                raise _u64_error(name, value)
+            _check_u64(name, value)
 
     def stream(self, offset: int) -> "SeedSpec":
         """Seed for the stream ``offset`` positions after this one."""

@@ -135,10 +135,12 @@ class TestPairingSum:
             spec = ChainSpec(p, q, (d,))
             assert oracle._moment(spec, 2) - oracle._moment(spec, 1) ** 2 == var_h_product_exact(spec)
 
-    @pytest.mark.parametrize("inner", [(2, 3, 2), (1, 2, 1), (2, 5, 4, 2), (2, 2)])
+    @pytest.mark.parametrize("inner", [
+        (2, 3, 2), (1, 2, 1), (2, 5, 4, 2), (2, 2), (2, 3, 1, 4, 2), (3,) * 9,
+    ])
     def test_deeper_chain_moments_equal_closed_form(self, inner):
         # the public functions refuse r > 2; the pairing sum covers any chain,
-        # here r = 3, 4 and 5, with E h^2 over 105^r choices of pairings
+        # here r = 3 to 6 and 10, with E h^2 over 105^r choices of pairings
         for p, q in product((1, 2, 3), repeat=2):
             spec = ChainSpec(p, q, inner)
             mean = oracle._moment(spec, 1)
@@ -153,9 +155,11 @@ class TestPairingSum:
         # the largest shapes the default budget admits
         (wick_exact_var_h_single, (ChainSpec(7, 8),)),
         (wick_exact_mean_h, (ChainSpec(1, 1, (56,)),)),
+        # E h^2 of a ten-factor chain: nine products through the 105 x 105 loop matrix
+        (oracle._moment, (ChainSpec(2, 3, (2,) * 9), 2)),
     ])
     def test_memory_does_not_grow_with_the_enumeration(self, call, args):
-        oracle._pairing_table.cache_clear()  # bound a cold enumeration, not a cache hit
+        clear_caches()  # bound a cold enumeration, not a cache hit
         tracemalloc.start()
         try:
             call(*args)
@@ -165,24 +169,28 @@ class TestPairingSum:
         assert peak < 2**20
 
 
+def clear_caches():
+    """Forget the pairing data cached per power, so the next call starts cold."""
+    oracle._boundary_classes.cache_clear()
+    oracle._loops.cache_clear()
+
+
 class TestPairingTable:
-    """The pairings are enumerated once per (r, power), as a polynomial in the dimensions."""
-
-    def test_one_factor_mean_is_pq_times_p_plus_q_plus_one(self):
-        # exponents of (p, q)
-        assert oracle._pairing_table(1, 1) == {(2, 1): 1, (1, 2): 1, (1, 1): 1}
-
-    def test_two_factor_mean_expands_the_closed_form(self):
-        # pq(p+q+1) d(d+2) + pq(p-1)(q-1) d, exponents of (p, d, q)
-        assert oracle._pairing_table(2, 1) == {
-            (2, 2, 1): 1, (1, 2, 2): 1, (1, 2, 1): 1, (2, 1, 1): 1, (1, 1, 2): 1, (1, 1, 1): 3, (2, 1, 2): 1,
-        }
+    """The loop matrix over one factor's pairings, and the product through it over a chain."""
 
     @pytest.mark.parametrize("r, power, choices", [
-        (1, 1, 3), (2, 1, 3**2), (3, 1, 3**3), (1, 2, 105), (2, 2, 105**2), (3, 2, 105**3), (4, 2, 105**4),
+        (r, power, per_factor**r) for power, per_factor in ((1, 3), (2, 105)) for r in range(1, 11)
     ])
     def test_counts_sum_to_the_number_of_choices(self, r, power, choices):
-        assert sum(oracle._pairing_table(r, power).values()) == choices
+        # at all-ones dimensions every choice of one pairing per factor contributes 1
+        assert oracle._moment(ChainSpec(1, 1, (1,) * (r - 1)), power) == choices
+
+    @pytest.mark.parametrize("power", [1, 2])
+    def test_loop_matrix_is_symmetric(self, power):
+        # _moment takes row nu of the matrix for its column nu
+        loops = oracle._loops(power)
+        assert len(loops) == (3, 105)[power - 1]
+        assert loops == tuple(zip(*loops))
 
     def test_values_do_not_depend_on_call_order(self):
         calls = [
@@ -198,12 +206,12 @@ class TestPairingTable:
 
         cold = {}
         for k, (call, args) in enumerate(calls):
-            oracle._pairing_table.cache_clear()
+            clear_caches()
             cold[k] = call(*args)
-        oracle._pairing_table.cache_clear()
+        clear_caches()
         forward = run(range(len(calls)))
         backward = run(reversed(range(len(calls))))
-        oracle._pairing_table.cache_clear()
+        clear_caches()
         backward_cold = run(reversed(range(len(calls))))
         assert forward == backward == backward_cold == cold
         assert all(type(value) is Fraction for value in cold.values())

@@ -24,6 +24,11 @@ class TestSeedSpec:
             SeedSpec(-1)
         with pytest.raises(ValueError):
             SeedSpec(0, 2**64)
+        # a bool is an int, but would be used as seed 1 or stream 0
+        with pytest.raises(ValueError, match="master_seed must be an unsigned 64-bit integer, got True"):
+            SeedSpec(True)
+        with pytest.raises(ValueError, match="stream_index must be an unsigned 64-bit integer, got False"):
+            SeedSpec(1, False)
 
     def test_stream_offset(self):
         s = SeedSpec(9, 4)
