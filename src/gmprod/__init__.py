@@ -18,7 +18,6 @@ from .moments import (
 )
 from .oracle import (
     OracleBudgetError,
-    WickBudget,
     wick_exact_mean_h,
     wick_exact_var_h_single,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "mean_h_product_exact",
     "mean_h_asymptotic",
     "var_h_product_exact",
-    "WickBudget",
     "OracleBudgetError",
     "wick_exact_mean_h",
     "wick_exact_var_h_single",

@@ -2,7 +2,7 @@
 
 Subcommands: ``moments`` (formula evaluation), ``distinguish`` (threshold
 test power), ``sweep`` (phase data over a geometric grid of inner
-dimensions), ``oracle`` (exact enumeration vs. closed forms). Each
+dimensions), ``oracle`` (exact Wick-pairing moments vs. closed forms). Each
 subcommand builds one report; ``main`` writes it as canonical JSON (sorted
 keys) or as CSV (fixed header, LF endings, reals with 17 significant
 digits), and ``oracle`` as JSON only. Every setting comes from argv, none
@@ -36,7 +36,7 @@ from .distinguisher import (
     tv_upper_bound,
 )
 from .moments import closed_form_moments, mean_h_asymptotic, mean_h_product_exact, var_h_product_exact
-from .oracle import OracleBudgetError, WickBudget, wick_exact_mean_h, wick_exact_var_h_single
+from .oracle import MAX_MONOMIALS, OracleBudgetError, wick_exact_mean_h, wick_exact_var_h_single
 from .sampling import _MAX_TRIAL_NORMALS, SeedSpec, check_trial_size
 
 MOMENTS_CSV_HEADER = [
@@ -204,20 +204,19 @@ def cmd_sweep(args):
 
 def cmd_oracle(args):
     spec = ChainSpec(args.p, args.q, _parse_inner(args.inner))
-    budget = WickBudget(max_monomials=args.max_monomials)
-    wick_mean = wick_exact_mean_h(spec, budget)
+    wick_mean = wick_exact_mean_h(spec)
     closed_mean = mean_h_product_exact(spec)
     report = {
         "p": spec.p,
         "q": spec.q,
         "inner": list(spec.inner),
-        "max_monomials": budget.max_monomials,
+        "max_monomials": MAX_MONOMIALS,
         "wick_mean": _frac_str(wick_mean),
         "closed_form_mean": _frac_str(closed_mean),
         "equal_mean": wick_mean == closed_mean,
     }
     if spec.r == 1:
-        wick_var = wick_exact_var_h_single(spec, budget)
+        wick_var = wick_exact_var_h_single(spec)
         closed_var = var_h_product_exact(spec)
         report.update({
             "wick_variance": _frac_str(wick_var),
@@ -275,10 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--trials", type=int, default=400, help="trials per ensemble per grid point")
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_oracle = sub.add_parser("oracle", help="exact enumeration vs. closed forms at tiny sizes")
+    p_oracle = sub.add_parser("oracle", help="exact Wick-pairing moments vs. closed forms")
     add_common(p_oracle, ("json",))
-    p_oracle.add_argument("--max-monomials", type=int, default=WickBudget().max_monomials,
-                          help="enumeration budget")
     p_oracle.set_defaults(func=cmd_oracle)
 
     return parser
@@ -289,6 +286,11 @@ _PARSER = build_parser()
 
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
+    # an exact integer such as s4 may have more digits than Python (3.10.7 and
+    # later) converts to str by default; lift that cap while the report is built
+    digit_cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digit_cap:
+        sys.set_int_max_str_digits(0)
     try:
         report, csv_header, records = args.func(args)
         text = canonical_json(report) if args.format == "json" else _csv_text(csv_header, records)
@@ -300,6 +302,9 @@ def main(argv=None) -> int:
         # MemoryError: a --steps too large to allocate
         print(f"gmprod: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if digit_cap:
+            sys.set_int_max_str_digits(digit_cap)
     if args.out is not None:
         try:
             with open(args.out, "w", encoding="utf-8", newline="") as fh:

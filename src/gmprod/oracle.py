@@ -24,10 +24,10 @@ once per inner dimension d and is closed against v_r[nu] = q^(column
 classes of nu). A factor's slots have 3 pairings for E h and 105 for
 E h^2, so the cost is linear in r.
 
-``WickBudget`` caps which shapes the CLI accepts, in the monomials of the
-full expansion: p^2 q^2 d^4 for a two-factor mean, p^2 q^2 and (p^2 q^2)^2
-for a single factor's mean and variance. It bounds no work the oracle
-does. The public functions take chains of at most two factors.
+``MAX_MONOMIALS`` caps which shapes the oracle accepts, in the monomials
+(p q d_1 ... d_{r-1})^(2 power) of the full expansion of E h^power. It
+bounds no work the oracle does. The mean takes a chain of any length, the
+variance one factor.
 """
 
 from __future__ import annotations
@@ -35,38 +35,26 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import ChainSpec
 
 
+MAX_MONOMIALS = 10_000_000
+
+
 class OracleBudgetError(RuntimeError):
-    """Requested enumeration is too large for the exact oracle."""
+    """Requested shape has more than ``MAX_MONOMIALS`` monomials in its full expansion."""
 
 
-@dataclass(frozen=True)
-class WickBudget:
-    """Cap on the monomials of the full expansion, at most 2^63 - 1.
-
-    It limits which shapes the oracle accepts, not the cost of the pairing
-    sum, which is one loop-matrix product per inner dimension.
-    """
-
-    max_monomials: int = 10_000_000
-
-    def __post_init__(self):
-        if self.max_monomials < 1:
-            raise ValueError("max_monomials must be positive")
-        if self.max_monomials >= 1 << 63:  # the CLI's documented limit
-            raise ValueError(f"max_monomials must be at most 2^63 - 1, got {self.max_monomials}")
-
-    def check(self, count: int, what: str) -> None:
-        if count > self.max_monomials:
-            raise OracleBudgetError(
-                f"{what} needs {count} monomials, over the budget of {self.max_monomials}; "
-                "too large for exact oracle"
-            )
+def _check_monomials(spec: ChainSpec, power: int, what: str) -> None:
+    """Refuse a shape whose E h^power expands to more than ``MAX_MONOMIALS`` monomials."""
+    count = (spec.p * spec.q * math.prod(spec.inner) ** 2) ** (2 * power)
+    if count > MAX_MONOMIALS:
+        raise OracleBudgetError(
+            f"{what} needs {count} monomials, over the budget of {MAX_MONOMIALS}; "
+            "too large for exact oracle"
+        )
 
 
 def _matchings(n: int) -> list[tuple[tuple[int, int], ...]]:
@@ -154,30 +142,23 @@ def _moment(spec: ChainSpec, power: int) -> Fraction:
     return Fraction(total, math.prod(spec.inner + spec.inner[:1]) ** (2 * power))
 
 
-def wick_exact_mean_h(spec: ChainSpec, budget: WickBudget = WickBudget()) -> Fraction:
+def wick_exact_mean_h(spec: ChainSpec) -> Fraction:
     """Exact E tr((A^T A)^2) for the normalized chain, by a sum over Wick pairings.
 
-    Supports one or two factors. A one-factor chain gives the value for
-    the bare unnormalized Gaussian, matching the closed-form convention.
+    A one-factor chain gives the value for the bare unnormalized Gaussian,
+    matching the closed-form convention.
     """
-    p, q = spec.p, spec.q
-    if spec.r > 2:
-        raise OracleBudgetError(
-            f"exact oracle supports chains of at most two factors, got r={spec.r}"
-        )
-    d4 = spec.d1**4 if spec.r == 2 else 1
-    budget.check(p * p * q * q * d4, "mean enumeration")
+    _check_monomials(spec, 1, "mean enumeration")
     return _moment(spec, 1)
 
 
-def wick_exact_var_h_single(spec: ChainSpec, budget: WickBudget = WickBudget()) -> Fraction:
+def wick_exact_var_h_single(spec: ChainSpec) -> Fraction:
     """Exact Var tr((G^T G)^2) for the unnormalized p x q Gaussian of a one-factor chain.
 
     The second moment sums the 105 pairings of h^2's eight entries; the
     squared mean is subtracted exactly.
     """
-    p, q = spec.p, spec.q
     if spec.r > 1:
         raise OracleBudgetError(f"exact oracle variance supports one factor only, got r={spec.r}")
-    budget.check((p * p * q * q) ** 2, "variance enumeration")
+    _check_monomials(spec, 2, "variance enumeration")
     return _moment(spec, 2) - _moment(spec, 1) ** 2

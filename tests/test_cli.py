@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 import gmprod
 from gmprod import cli
 from gmprod.cli import _csv_text, build_parser, canonical_json, main
+from gmprod.oracle import MAX_MONOMIALS
 
 MOMENTS_HEADER = [
     "p", "q", "inner", "mean_product", "mean_asymptotic", "mean_single",
@@ -109,6 +111,20 @@ p,q,inner,mean_product,mean_asymptotic,mean_single,var_single,var_product,s1,s2,
   "p": 2,
   "q": 3,
   "wick_mean": "264/125"
+}
+""",
+    "oracle --p 2 --q 3 --inner 2,2": """\
+{
+  "closed_form_mean": "159/4",
+  "equal_mean": true,
+  "inner": [
+    2,
+    2
+  ],
+  "max_monomials": 10000000,
+  "p": 2,
+  "q": 3,
+  "wick_mean": "159/4"
 }
 """,
     "oracle --p 3 --q 3": """\
@@ -287,6 +303,19 @@ def assert_refused(code, out, err, status=2):
     assert err.startswith("gmprod:") and err.count("\n") == 1
 
 
+@contextlib.contextmanager
+def no_int_digit_cap():
+    """Lift this interpreter's cap on int-to-str digits, if it has one, for the block."""
+    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if cap:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if cap:
+            sys.set_int_max_str_digits(cap)
+
+
 class TestMoments:
     def test_json_values(self, capsys):
         code, out, _ = run_cli(["moments", "--p", "2", "--q", "2", "--inner", "4"], capsys)
@@ -317,6 +346,20 @@ class TestMoments:
         row = next(csv.DictReader(lines))
         assert row["mean_product"] == "1.9375"
         assert row["inner"] == "4"
+
+    def test_exact_integers_with_more_digits_than_the_str_cap(self, capsys):
+        # 800 factors of 1000: s4 has more digits than Python's default cap of
+        # 4300 for int-to-str conversion, which must neither refuse the argv
+        # nor stay lifted after main returns
+        argv = ["moments", "--p", "2", "--q", "2", "--inner", ",".join(["1000"] * 799)]
+        cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (0, "")
+        assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == cap
+        with no_int_digit_cap():
+            s4 = gmprod.closed_form_moments(gmprod.ChainSpec(2, 2, (1000,) * 799)).s4
+            assert len(str(s4)) > 4300 and json.loads(out)["s4"] == s4
+        assert in_fresh_interpreter(argv, PYTHONINTMAXSTRDIGITS="640") == (0, out, "")
 
     def test_malformed_inner(self, capsys):
         code, _, err = run_cli(["moments", "--p", "2", "--q", "2", "--inner", "4,x"], capsys)
@@ -475,28 +518,49 @@ class TestOracle:
         assert report["wick_variance"] == "96/1"
         assert report["equal_variance"] is True
 
-    def test_three_factors_exit_code(self, capsys):
-        code, _, err = run_cli(["oracle", "--p", "3", "--q", "3", "--inner", "3,3"], capsys)
-        assert code == 3
-        assert "two factors" in err
+    @pytest.mark.parametrize("inner", ["2,2", "2,3,2", "3,1,1,3", "2,3,1,4,2", ",".join(["3"] * 9)])
+    def test_mean_at_any_chain_length(self, inner, capsys):
+        # the exact mean wherever (p q d_1 ... d_{r-1})^2 is within the cap, else status 3
+        dims = tuple(map(int, inner.split(",")))
+        for p, q in product((1, 2, 3), repeat=2):
+            code, out, err = run_cli(["oracle", "--p", str(p), "--q", str(q), "--inner", inner], capsys)
+            if (p * q * math.prod(dims) ** 2) ** 2 > MAX_MONOMIALS:
+                assert_refused(code, out, err, status=3)
+                continue
+            mean = gmprod.mean_h_product_exact(gmprod.ChainSpec(p, q, dims))
+            assert (code, err) == (0, "")
+            report = json.loads(out)
+            assert report["wick_mean"] == f"{mean.numerator}/{mean.denominator}"
+            assert report["equal_mean"] is True and "wick_variance" not in report
 
     def test_budget_exit_code(self, capsys):
-        code, out, err = run_cli(
-            ["oracle", "--p", "3", "--q", "3", "--inner", "3", "--max-monomials", "10"], capsys
-        )
-        # the budget counts every monomial, p^2 q^2 d^4 = 6561, however the mean is enumerated
-        assert (code, out) == (3, "")
-        assert err == ("gmprod: mean enumeration needs 6561 monomials, over the budget of 10; "
-                       "too large for exact oracle\n")
+        # the fixed cap of 10^7 monomials of the full expansion, for each enumeration
+        for argv, err in [
+            ("--p 7 --q 9", "gmprod: variance enumeration needs 15752961 monomials, over the "
+                            "budget of 10000000; too large for exact oracle\n"),
+            ("--p 1 --q 1 --inner 57", "gmprod: mean enumeration needs 10556001 monomials, over "
+                                       "the budget of 10000000; too large for exact oracle\n"),
+            ("--p 4 --q 4 --inner 5,5", "gmprod: mean enumeration needs 100000000 monomials, over "
+                                        "the budget of 10000000; too large for exact oracle\n"),
+        ]:
+            assert run_cli(["oracle", *argv.split()], capsys) == (3, "", err)
 
-    def test_budget_beyond_the_flat_index_refused(self, capsys):
-        # the CLI documents a budget of at most 2^63 - 1 monomials; 10**20 is past it
-        code, out, err = run_cli(
-            ["oracle", "--p", "1", "--q", "1", "--inner", "100000",
-             "--max-monomials", "100000000000000000000"], capsys
-        )
-        assert_refused(code, out, err)
-        assert err.startswith("gmprod: max_monomials must be at most 2^63 - 1")
+    def test_max_monomials_option_removed(self, capsys):
+        # the cap is fixed; the report still echoes it as max_monomials
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "--p", "2", "--q", "2", "--max-monomials", "10"])
+        out = capsys.readouterr()
+        assert_refused(exc.value.code, out.out, out.err)
+        assert "--max-monomials" in out.err
+
+    def test_mean_with_more_digits_than_the_str_cap(self, capsys):
+        # 20,000 factors: the mean's numerator and denominator pass Python's
+        # default cap of 4300 digits for int-to-str conversion
+        argv = ["oracle", "--p", "1", "--q", "1", "--inner", ",".join(["1"] * 19_999)]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (0, "")
+        report = json.loads(out)  # the rationals are strings, so no int is parsed
+        assert len(report["wick_mean"]) > 4300 and report["equal_mean"] is True
 
     def test_csv_format_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -557,13 +621,13 @@ def in_process(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def in_fresh_interpreter(argv):
-    """Exit status, stdout and stderr of ``main(argv)`` in a new Python process."""
+def in_fresh_interpreter(argv, **env):
+    """Exit status, stdout and stderr of ``main(argv)`` in a new Python process, ``env`` added."""
     done = subprocess.run(
         [sys.executable, "-c", "import sys; from gmprod.cli import main; sys.exit(main(sys.argv[1:]))",
          *argv],
         capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": str(Path(gmprod.__file__).parents[1])},
+        env={**os.environ, **env, "PYTHONPATH": str(Path(gmprod.__file__).parents[1])},
     )
     return done.returncode, done.stdout, done.stderr
 
@@ -593,7 +657,7 @@ def test_option_sets_are_pinned():
         "moments": common | {"--inner"},
         "distinguish": common | {"--inner", "--trials"},
         "sweep": common | {"--r", "--d-min", "--d-max", "--steps", "--trials"},
-        "oracle": common | {"--inner", "--max-monomials"},
+        "oracle": common | {"--inner"},
     }
 
 
@@ -894,8 +958,8 @@ def test_sweep_contract_holds_for_generated_argv(p, q, r, d_min, d_max, steps, t
 
 ORACLE_KEYS = ["closed_form_mean", "equal_mean", "inner", "max_monomials", "p", "q", "wick_mean"]
 ORACLE_VARIANCE_KEYS = ["closed_form_variance", "equal_variance", "wick_variance"]
-# Tiny dimensions enumerate in milliseconds; the large ones are over any
-# budget up to the default, so the oracle refuses them before enumerating.
+# Tiny dimensions enumerate in milliseconds; the large ones are over the
+# cap, so the oracle refuses them before enumerating.
 ORACLE_DIMENSION = st.one_of(st.integers(1, 4), st.integers(10**4, 10**30))
 
 
@@ -903,14 +967,12 @@ ORACLE_DIMENSION = st.one_of(st.integers(1, 4), st.integers(10**4, 10**30))
 @given(
     p=ORACLE_DIMENSION,
     q=ORACLE_DIMENSION,
-    inner=st.lists(ORACLE_DIMENSION, max_size=2),
-    # budgets above 2**63 - 1 are refused before anything is enumerated
-    max_monomials=st.one_of(st.integers(1, 10_000_000), st.integers(2**63, 2**80)),
+    inner=st.lists(ORACLE_DIMENSION, max_size=4),
     fmt=st.sampled_from(["json", "csv"]),
 )
-def test_oracle_contract_holds_for_generated_argv(p, q, inner, max_monomials, fmt):
+def test_oracle_contract_holds_for_generated_argv(p, q, inner, fmt):
     argv = ["oracle", "--p", str(p), "--q", str(q), "--inner", ",".join(map(str, inner)),
-            "--max-monomials", str(max_monomials), "--format", fmt]
+            "--format", fmt]
     out = run_generated(argv)
     if out is None:
         return

@@ -8,7 +8,7 @@ import pytest
 from gmprod import oracle
 from gmprod.core import ChainSpec
 from gmprod.moments import mean_h_product_exact, var_h_product_exact
-from gmprod.oracle import OracleBudgetError, WickBudget, wick_exact_mean_h, wick_exact_var_h_single
+from gmprod.oracle import OracleBudgetError, wick_exact_mean_h, wick_exact_var_h_single
 from gmprod.sampling import h_samples
 from gmprod.sampling import SeedSpec, sample_single
 from references import mc_mean, mc_variance
@@ -38,13 +38,18 @@ class TestWickMean:
             spec = ChainSpec(p, q, (d,))
             assert wick_exact_mean_h(spec) == mean_h_product_exact(spec)
 
-    def test_three_factors_refused(self):
-        with pytest.raises(OracleBudgetError):
-            wick_exact_mean_h(ChainSpec(2, 2, (2, 2)))
-
     def test_budget_enforced(self):
-        with pytest.raises(OracleBudgetError, match="too large for exact oracle"):
-            wick_exact_mean_h(ChainSpec(3, 3, (3,)), WickBudget(max_monomials=100))
+        # (p q d_1 ... d_{r-1})^2 monomials, counted the same way at any r
+        for spec, count in [
+            (ChainSpec(1, 1, (57,)), 57**4),
+            (ChainSpec(8, 8, (2, 2, 2, 2, 2)), (64 * 2**10) ** 2),
+            (ChainSpec(4, 4, (5, 5)), 10**8),
+        ]:
+            assert count > oracle.MAX_MONOMIALS
+            with pytest.raises(OracleBudgetError) as exc:
+                wick_exact_mean_h(spec)
+            assert str(exc.value) == (f"mean enumeration needs {count} monomials, over the budget "
+                                      f"of {oracle.MAX_MONOMIALS}; too large for exact oracle")
 
 
 class TestWickVariance:
@@ -57,8 +62,10 @@ class TestWickVariance:
         assert wick_exact_var_h_single(ChainSpec(1, 2)) == var_h_product_exact(ChainSpec(1, 2))
 
     def test_budget_enforced(self):
-        with pytest.raises(OracleBudgetError):
-            wick_exact_var_h_single(ChainSpec(2, 2), WickBudget(max_monomials=10))
+        # (p q)^4 monomials: 63^4 is over the cap, while 7 x 8 fits under it
+        assert 56**4 <= oracle.MAX_MONOMIALS < 63**4
+        with pytest.raises(OracleBudgetError, match=f"needs {63**4} monomials"):
+            wick_exact_var_h_single(ChainSpec(7, 9))
 
 
 # dimensions the oracle once coerced or used as given: a float, a bool, a
@@ -112,15 +119,19 @@ class TestPairingSum:
         (91, 1, (2,)),  # p^2 = 8281 row pairs
         (1, 91, (2,)),
         (91, 2, ()),
-        # the largest shapes the default budget admits: 9,837,632 and 9,834,496 monomials
+        # the largest shapes the cap admits: 9,837,632 and 9,834,496 monomials
         (7, 8, ()),
         (1, 1, (56,)),
+        # the mean at any r: (1 * 1 * 2^10)^2 = 1,048,576 monomials at r = 6
+        (2, 3, (2, 2)),
+        (1, 1, (2,) * 5),
+        (3, 1, (1,) * 40),
     ])
     def test_mean_equals_closed_form(self, p, q, inner):
         spec = ChainSpec(p, q, inner)
         assert wick_exact_mean_h(spec) == mean_h_product_exact(spec)
-        if not inner and (p * q) ** 4 <= WickBudget().max_monomials:
-            # a single factor's variance too, where the default budget admits it
+        if not inner and (p * q) ** 4 <= oracle.MAX_MONOMIALS:
+            # a single factor's variance too, where the cap admits it
             assert wick_exact_var_h_single(spec) == var_h_product_exact(spec)
 
     def test_variance_equals_reference(self):
@@ -139,8 +150,9 @@ class TestPairingSum:
         (2, 3, 2), (1, 2, 1), (2, 5, 4, 2), (2, 2), (2, 3, 1, 4, 2), (3,) * 9,
     ])
     def test_deeper_chain_moments_equal_closed_form(self, inner):
-        # the public functions refuse r > 2; the pairing sum covers any chain,
-        # here r = 3 to 6 and 10, with E h^2 over 105^r choices of pairings
+        # the public variance refuses r > 1 and the mean a shape over the cap;
+        # the pairing sum covers any chain, here r = 3 to 6 and 10, with E h^2
+        # over 105^r choices of pairings
         for p, q in product((1, 2, 3), repeat=2):
             spec = ChainSpec(p, q, inner)
             mean = oracle._moment(spec, 1)
@@ -152,7 +164,7 @@ class TestPairingSum:
         (wick_exact_mean_h, (ChainSpec(1, 1, (20,)),)),  # 160,000 monomials, all on the d^4 axes
         (wick_exact_mean_h, (ChainSpec(2, 2, (12,)),)),
         (wick_exact_mean_h, (ChainSpec(128, 1, (2,)),)),  # 2^14 row pairs
-        # the largest shapes the default budget admits
+        # the largest shapes the cap admits
         (wick_exact_var_h_single, (ChainSpec(7, 8),)),
         (wick_exact_mean_h, (ChainSpec(1, 1, (56,)),)),
         # E h^2 of a ten-factor chain: nine products through the 105 x 105 loop matrix
