@@ -12,7 +12,6 @@ from .distinguisher import (
 from .moments import (
     MomentVector,
     closed_form_moments,
-    mean_h_asymptotic,
     mean_h_product_exact,
     var_h_product_exact,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "MomentVector",
     "closed_form_moments",
     "mean_h_product_exact",
-    "mean_h_asymptotic",
     "var_h_product_exact",
     "OracleBudgetError",
     "wick_exact_mean_h",

@@ -35,13 +35,13 @@ from .distinguisher import (
     tv_lower_bound_empirical,
     tv_upper_bound,
 )
-from .moments import closed_form_moments, mean_h_asymptotic, mean_h_product_exact, var_h_product_exact
+from .moments import closed_form_moments, mean_h_product_exact, var_h_product_exact
 from .oracle import MAX_MONOMIALS, OracleBudgetError, wick_exact_mean_h, wick_exact_var_h_single
 from .sampling import _MAX_TRIAL_NORMALS, SeedSpec, check_trial_size
 
 MOMENTS_CSV_HEADER = [
-    "p", "q", "inner", "mean_product", "mean_asymptotic", "mean_single",
-    "var_single", "var_product", "s1", "s2", "s3", "s4", "s5", "s6",
+    "p", "q", "inner", "mean_product", "mean_single", "var_single", "var_product",
+    "s1", "s2", "s3", "s4", "s5", "s6",
 ]
 DISTINGUISH_CSV_HEADER = [
     "p", "q", "inner", "trials", "seed", "threshold", "mu_single", "mu_product",
@@ -106,7 +106,6 @@ def cmd_moments(args):
         "q": spec.q,
         "inner": list(spec.inner),
         "mean_product": plan.mu_product,
-        "mean_asymptotic": mean_h_asymptotic(spec),
         "mean_single": plan.mu_single,
         "var_single": plan.var_single,
         "var_product": plan.var_product,
@@ -285,13 +284,13 @@ _PARSER = build_parser()
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
-    # an exact integer such as s4 may have more digits than Python (3.10.7 and
-    # later) converts to str by default; lift that cap while the report is built
+    # an integer option or an exact integer such as s4 may have more digits than
+    # Python (3.10.7 and later) converts by default; lift that cap for the call
     digit_cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if digit_cap:
         sys.set_int_max_str_digits(0)
     try:
+        args = _PARSER.parse_args(argv)
         report, csv_header, records = args.func(args)
         text = canonical_json(report) if args.format == "json" else _csv_text(csv_header, records)
     except OracleBudgetError as exc:

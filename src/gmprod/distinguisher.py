@@ -121,7 +121,6 @@ def tv_upper_bound(spec: ChainSpec) -> float:
     Theory does not pin the absolute constant c; it is fixed at 1, and
     reports echo it alongside the value.
     """
-    if spec.r < 2:
-        raise ValueError("upper bound needs at least two factors")
+    spec.d1  # refuses a one-factor chain, which has no inner dimension to sum over
     total = TV_UPPER_C * sum(math.sqrt(spec.p * spec.q / d) for d in spec.inner)
     return min(1.0, total)

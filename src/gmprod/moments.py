@@ -1,4 +1,4 @@
-"""Exact and asymptotic moments of the statistic for both ensembles.
+"""Exact moments of the statistic for both ensembles.
 
 Every exact mean and variance of h = tr((A^T A)^2) comes from one source:
 each Gram matrix of the chain is Wishart given the factors before it, so a
@@ -136,23 +136,3 @@ def var_h_product_exact(spec: ChainSpec) -> Fraction:
     mean = _trace_moment(spec, (2,))
     return Fraction(_trace_moment(spec, (2, 2)) - mean * mean, _normalizer(spec) ** 2)
 
-
-def mean_h_asymptotic(spec: ChainSpec) -> float:
-    """Large-d approximation of the product mean of the statistic.
-
-    pq(p+q+1)/d1^2 + pq(p-1)(q-1)/d1^2 * sum(1/d_j). The first term is the
-    single-Gaussian mean. The second is only part of the product's excess
-    over it: at r = 2 the exact mean is larger by a further 2pq(p+q+1)/d^3,
-    of the same order, so at p = 1 this value equals the single mean while
-    the exact means differ.
-    """
-    p, q, d1 = spec.p, spec.q, spec.d1
-    lead = p * q * (p + q + 1) / d1**2
-    try:
-        inverses = sum(1.0 / d for d in spec.inner)
-    except OverflowError:
-        raise ValueError(
-            "mean_asymptotic needs 1/d of each inner dimension d, and one is too large for a float"
-        ) from None
-    corr = p * q * (p - 1) * (q - 1) / d1**2 * inverses
-    return lead + corr

@@ -159,6 +159,6 @@ def wick_exact_var_h_single(spec: ChainSpec) -> Fraction:
     squared mean is subtracted exactly.
     """
     if spec.r > 1:
-        raise OracleBudgetError(f"exact oracle variance supports one factor only, got r={spec.r}")
+        raise ValueError(f"exact oracle variance supports one factor only, got r={spec.r}")
     _check_monomials(spec, 2, "variance enumeration")
     return _moment(spec, 2) - _moment(spec, 1) ** 2

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from itertools import product
@@ -21,8 +22,8 @@ from gmprod.cli import _csv_text, build_parser, canonical_json, main
 from gmprod.oracle import MAX_MONOMIALS
 
 MOMENTS_HEADER = [
-    "p", "q", "inner", "mean_product", "mean_asymptotic", "mean_single",
-    "var_single", "var_product", "s1", "s2", "s3", "s4", "s5", "s6",
+    "p", "q", "inner", "mean_product", "mean_single", "var_single", "var_product",
+    "s1", "s2", "s3", "s4", "s5", "s6",
 ]
 DISTINGUISH_HEADER = [
     "p", "q", "inner", "trials", "seed", "threshold", "mu_single", "mu_product",
@@ -44,7 +45,6 @@ PINNED_OUTPUT = {
     6,
     6
   ],
-  "mean_asymptotic": 1.1111111111111112,
   "mean_product": 1.8981481481481481,
   "mean_single": 1.0,
   "p": 3,
@@ -60,8 +60,8 @@ PINNED_OUTPUT = {
 }
 """,
     "moments --p 3 --q 2 --inner 6,6 --format csv": """\
-p,q,inner,mean_product,mean_asymptotic,mean_single,var_single,var_product,s1,s2,s3,s4,s5,s6
-3,2,6;6,1.8981481481481481,1.1111111111111112,1,1.5925925925925926,48.515613092516382,6912,6912,2304,2304,1368,468
+p,q,inner,mean_product,mean_single,var_single,var_product,s1,s2,s3,s4,s5,s6
+3,2,6;6,1.8981481481481481,1,1.5925925925925926,48.515613092516382,6912,6912,2304,2304,1368,468
 """,
     "moments --p 8 --q 8 --inner 2048": """\
 {
@@ -71,7 +71,6 @@ p,q,inner,mean_product,mean_asymptotic,mean_single,var_single,var_product,s1,s2,
   "inner": [
     2048
   ],
-  "mean_asymptotic": 0.00025976449251174927,
   "mean_product": 0.0002600178122520447,
   "mean_single": 0.0002593994140625,
   "p": 8,
@@ -323,7 +322,6 @@ class TestMoments:
         report = json.loads(out)
         assert report["mean_product"] == 1.9375
         assert report["mean_single"] == 1.25
-        assert report["mean_asymptotic"] == 1.3125
         assert report["s3"] == 24 and report["s6"] == 4
 
     def test_scalar_chain(self, capsys):
@@ -645,6 +643,43 @@ def test_one_parser_serves_every_call():
         assert in_process(list(argv)) == expected
 
 
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["oracle", "--p", "7" * 5000, "--q", "1"], (3, "gmprod: mean enumeration needs ")),
+        (["moments", "--p", "7" * 5000, "--q", "1", "--inner", "4"], (2, "gmprod: mu_single ")),
+    ],
+    ids=["oracle", "moments"],
+)
+def test_integer_options_do_not_depend_on_the_digit_cap(argv, expected):
+    # the cap on int-str conversion is lifted for the whole call, so an
+    # option with more digits than the default cap of 4300 parses either way
+    capped = in_fresh_interpreter(argv, PYTHONINTMAXSTRDIGITS="4300")
+    assert in_fresh_interpreter(argv, PYTHONINTMAXSTRDIGITS="0") == capped
+    code, out, err = capped
+    assert_refused(code, out, err, status=expected[0])
+    assert err.startswith(expected[1])
+
+
+def test_digit_cap_restored_after_a_usage_error():
+    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    with pytest.raises(SystemExit):
+        main(USAGE_ERRORS["not-an-int"])
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == cap
+
+
+@pytest.mark.parametrize(
+    "subcommand, header",
+    [("moments", cli.MOMENTS_CSV_HEADER), ("distinguish", cli.DISTINGUISH_CSV_HEADER),
+     ("sweep", cli.SWEEP_CSV_HEADER)],
+)
+def test_readme_lists_the_frozen_csv_columns(subcommand, header):
+    # the one comma-joined column list in the subcommand's README section
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split(f"### `gmprod {subcommand}`\n", 1)[1].split("\n#", 1)[0]
+    assert re.findall(r"`(\w+(?:,\w+)+)`", section) == [",".join(header)]
+
+
 def test_option_sets_are_pinned():
     # a setting is added or dropped on purpose, with this list
     subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
@@ -686,7 +721,6 @@ def test_constants_option_removed(argv, capsys):
 @pytest.mark.parametrize(
     "argv, named",
     [
-        (["moments", "--p", "2", "--q", "2", "--inner", str(10**400)], "mean_asymptotic"),
         (["moments", "--p", str(10**400), "--q", "2", "--inner", "4"], "mu_single"),
         (["sweep", "--p", "2", "--q", "2", "--d-min", "4", "--d-max", str(10**80),
           "--steps", "3", "--trials", "10"], "limit"),
@@ -696,12 +730,23 @@ def test_constants_option_removed(argv, capsys):
         (["sweep", "--p", "2", "--q", "2", "--d-min", str(10**400), "--d-max", str(10**401),
           "--steps", "3", "--trials", "10"], "d-min has 401 digits"),
     ],
-    ids=["inner", "p", "sweep-d-max", "sweep-d-max-float", "sweep-d-min-float"],
+    ids=["p", "sweep-d-max", "sweep-d-max-float", "sweep-d-min-float"],
 )
 def test_dimension_too_large_for_a_float_rejected(argv, named, capsys):
     code, out, err = run_cli(argv, capsys)
     assert_refused(code, out, err)
     assert named in err
+
+
+def test_inner_dimension_too_large_for_a_float_accepted(capsys):
+    # moments never divides by d as a float: the exact means of this chain
+    # round to 0.0, and the moment vector is printed exactly
+    d = 10**400
+    code, out, err = run_cli(["moments", "--p", "2", "--q", "2", "--inner", str(d)], capsys)
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["mean_product"] == report["mean_single"] == 0.0
+    assert report["s4"] == gmprod.closed_form_moments(gmprod.ChainSpec(2, 2, (d,))).s4
 
 
 @pytest.mark.parametrize(
@@ -958,21 +1003,27 @@ def test_sweep_contract_holds_for_generated_argv(p, q, r, d_min, d_max, steps, t
 
 ORACLE_KEYS = ["closed_form_mean", "equal_mean", "inner", "max_monomials", "p", "q", "wick_mean"]
 ORACLE_VARIANCE_KEYS = ["closed_form_variance", "equal_variance", "wick_variance"]
-# Tiny dimensions enumerate in milliseconds; the large ones are over the
-# cap, so the oracle refuses them before enumerating.
-ORACLE_DIMENSION = st.one_of(st.integers(1, 4), st.integers(10**4, 10**30))
 
 
+# p, q and up to four inner dimensions from 1..3, most within the cap, so
+# that many examples run the oracle, r >= 3 included. An optional oversize
+# value at p, q or the first inner dimension is over the cap, so the oracle
+# refuses it before enumerating. Every chain is closed and asks for JSON,
+# the oracle's only format (test_csv_format_rejected pins the csv refusal),
+# so the size cap is the only refusal generated.
 @settings(max_examples=100, deadline=None)
 @given(
-    p=ORACLE_DIMENSION,
-    q=ORACLE_DIMENSION,
-    inner=st.lists(ORACLE_DIMENSION, max_size=4),
-    fmt=st.sampled_from(["json", "csv"]),
+    dims=st.lists(st.integers(1, 3), min_size=2, max_size=6),
+    oversize=st.one_of(st.none(), st.tuples(st.integers(0, 2), st.integers(10**4, 10**30))),
 )
-def test_oracle_contract_holds_for_generated_argv(p, q, inner, fmt):
-    argv = ["oracle", "--p", str(p), "--q", str(q), "--inner", ",".join(map(str, inner)),
-            "--format", fmt]
+def test_oracle_contract_holds_for_generated_argv(dims, oversize):
+    if oversize is not None:
+        at, value = oversize
+        dims[min(at, len(dims) - 1)] = value
+    p, q, *inner = dims
+    if inner:
+        inner[-1] = inner[0]
+    argv = ["oracle", "--p", str(p), "--q", str(q), "--inner", ",".join(map(str, inner))]
     out = run_generated(argv)
     if out is None:
         return

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from gmprod.core import ChainSpec, as_matrix
-from gmprod.distinguisher import build_test
-from gmprod.moments import mean_h_asymptotic
+from gmprod.distinguisher import build_test, tv_upper_bound
 from gmprod.sampling import sample_product, sample_single
 
 
@@ -31,9 +30,9 @@ class TestChainSpec:
             lambda spec: sample_product(spec, np.random.default_rng(0)),
             lambda spec: sample_single(spec, np.random.default_rng(0)),
             build_test,
-            mean_h_asymptotic,
+            tv_upper_bound,
         ],
-        ids=["sample_product", "sample_single", "build_test", "mean_h_asymptotic"],
+        ids=["sample_product", "sample_single", "build_test", "tv_upper_bound"],
     )
     def test_single_factor_refused_through_d1(self, call):
         # the two-factor rule lives in ChainSpec.d1; every caller that needs

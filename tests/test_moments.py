@@ -14,7 +14,6 @@ from gmprod.moments import (
     WISHART_TRACE_MOMENTS,
     MomentVector,
     closed_form_moments,
-    mean_h_asymptotic,
     mean_h_product_exact,
     var_h_product_exact,
 )
@@ -115,35 +114,13 @@ class TestMeanProduct:
         num = 2 * 3 * 6 * m.s3 + 2 * 3 * 1 * 2 * m.s6
         assert mean_h_product_exact(spec) == Fraction(num, 4**2 * 4**2 * 4**2)
 
-
-class TestMeanAsymptotic:
-    def test_plug_in(self):
-        assert mean_h_asymptotic(ChainSpec(2, 2, (4,))) == 1.3125
-
-    def test_degenerate_width(self):
-        # (p-1)(q-1) = 0 kills the correction term
-        spec = ChainSpec(1, 5, (8,))
-        assert mean_h_asymptotic(spec) == 5 * 7 / 64
-
-    def test_close_to_exact_for_large_inner(self):
-        spec = ChainSpec(2, 2, (1000,))
-        exact = build_test(spec).mu_product
-        approx = mean_h_asymptotic(spec)
-        assert abs(exact - approx) / exact < 0.01
-
-    def test_single_factor_rejected(self):
-        with pytest.raises(ValueError):
-            mean_h_asymptotic(ChainSpec(2, 2))
-
     @pytest.mark.parametrize("p, q, d", [(1, 4, 8), (1, 1, 16), (3, 2, 6), (8, 8, 2048), (16, 16, 64)])
-    def test_two_factor_gap_to_exact(self, p, q, d):
-        # the exact mean exceeds the asymptotic one by 2pq(p+q+1)/d^3, so the
-        # pq(p-1)(q-1)/d^3 term is only part of the product's excess over the
-        # single mean pq(p+q+1)/d^2, and none of it at p = 1
-        spec = ChainSpec(p, q, (d,))
-        asymptotic = Fraction(p * q * (p + q + 1), d**2) + Fraction(p * q * (p - 1) * (q - 1), d**3)
-        assert mean_h_asymptotic(spec) == pytest.approx(float(asymptotic), rel=1e-15)
-        assert mean_h_product_exact(spec) - asymptotic == Fraction(2 * p * q * (p + q + 1), d**3)
+    def test_two_factor_gap_to_single(self, p, q, d):
+        # the product's excess over the single mean pq(p+q+1)/d^2 is of order
+        # 1/d^3 and has two parts; the first does not vanish at p = 1
+        single = Fraction(p * q * (p + q + 1), d**2)
+        gap = Fraction(2 * p * q * (p + q + 1) + p * q * (p - 1) * (q - 1), d**3)
+        assert mean_h_product_exact(ChainSpec(p, q, (d,))) == single + gap
 
 
 class TestMeanSingle:

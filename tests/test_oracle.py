@@ -90,7 +90,7 @@ class TestSpecOnly:
 
     def test_variance_refuses_a_chain(self):
         # the enumeration is of one Gaussian; it must not answer for a product
-        with pytest.raises(OracleBudgetError, match="one factor only"):
+        with pytest.raises(ValueError, match="one factor only"):
             wick_exact_var_h_single(ChainSpec(2, 2, (4,)))
 
 
