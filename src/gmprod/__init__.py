@@ -1,48 +1,49 @@
-"""Gaussian matrix product ensembles: sampling, exact moments, distinguishing tests."""
+"""Gaussian matrix product ensembles: sampling, exact moments, distinguishing tests.
 
-from .core import ChainSpec
-from .distinguisher import (
-    TestPlan,
-    build_test,
-    draw_h_samples,
-    error_rates,
-    tv_lower_bound_empirical,
-    tv_upper_bound,
-)
-from .moments import (
-    MomentVector,
-    closed_form_moments,
-    mean_h_product_exact,
-    var_h_product_exact,
-)
-from .oracle import (
-    OracleBudgetError,
-    wick_exact_mean_h,
-    wick_exact_var_h_single,
-)
-from .sampling import SeedSpec, h_samples, sample_product, sample_single, stream_rng
+Each public name is read from its submodule when it is accessed, which
+imports that submodule the first time; ``import gmprod`` alone imports no
+submodule and no numpy. ``core``, ``moments`` and ``oracle`` are exact
+arithmetic in pure Python; ``sampling`` and ``distinguisher`` import numpy.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ChainSpec",
-    "SeedSpec",
-    "stream_rng",
-    "sample_single",
-    "sample_product",
-    "h_samples",
-    "MomentVector",
-    "closed_form_moments",
-    "mean_h_product_exact",
-    "var_h_product_exact",
-    "OracleBudgetError",
-    "wick_exact_mean_h",
-    "wick_exact_var_h_single",
-    "TestPlan",
-    "build_test",
-    "error_rates",
-    "draw_h_samples",
-    "tv_lower_bound_empirical",
-    "tv_upper_bound",
-    "__version__",
-]
+# public name -> the submodule that defines it
+_SUBMODULE = {
+    "ChainSpec": "core",
+    "SeedSpec": "sampling",
+    "stream_rng": "sampling",
+    "sample_single": "sampling",
+    "sample_product": "sampling",
+    "h_samples": "sampling",
+    "MomentVector": "moments",
+    "closed_form_moments": "moments",
+    "mean_h_product_exact": "moments",
+    "var_h_product_exact": "moments",
+    "OracleBudgetError": "oracle",
+    "wick_exact_mean_h": "oracle",
+    "wick_exact_var_h_single": "oracle",
+    "TestPlan": "distinguisher",
+    "build_test": "distinguisher",
+    "error_rates": "distinguisher",
+    "draw_h_samples": "distinguisher",
+    "tv_lower_bound_empirical": "distinguisher",
+    "tv_upper_bound": "distinguisher",
+}
+
+__all__ = [*_SUBMODULE, "__version__"]
+
+
+def __getattr__(name):
+    # read from the submodule on every access, so gmprod.X is always gmprod.<submodule>.X
+    if name in _SUBMODULE:
+        return getattr(importlib.import_module(f".{_SUBMODULE[name]}", __name__), name)
+    if name in _SUBMODULE.values():
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

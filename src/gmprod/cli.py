@@ -11,7 +11,11 @@ Exit status: 0 success, 2 invalid arguments, 3 exact oracle over budget;
 every error is one ``gmprod:`` line on stderr.
 
 The argument parser is built once, when this module is imported, and
-every ``main`` call in the process parses with it.
+every ``main`` call in the process parses with it. Importing this module
+loads only the exact-arithmetic modules (``core``, ``moments``,
+``oracle``), so ``oracle`` and a usage error run without numpy;
+``moments``, ``distinguish`` and ``sweep`` import the test plan and the
+samplers, and with them numpy, when they run.
 """
 
 from __future__ import annotations
@@ -24,20 +28,9 @@ import math
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from .core import ChainSpec
-from .distinguisher import (
-    TV_UPPER_C,
-    build_test,
-    draw_h_samples,
-    error_rates,
-    tv_lower_bound_empirical,
-    tv_upper_bound,
-)
 from .moments import closed_form_moments, mean_h_product_exact, var_h_product_exact
 from .oracle import MAX_MONOMIALS, OracleBudgetError, wick_exact_mean_h, wick_exact_var_h_single
-from .sampling import _MAX_TRIAL_NORMALS, SeedSpec, check_trial_size
 
 MOMENTS_CSV_HEADER = [
     "p", "q", "inner", "mean_product", "mean_single", "var_single", "var_product",
@@ -98,6 +91,8 @@ def _frac_str(f: Fraction) -> str:
 
 
 def cmd_moments(args):
+    from .distinguisher import TV_UPPER_C, build_test
+
     spec = ChainSpec(args.p, args.q, _parse_inner(args.inner))
     plan = build_test(spec)
     s = closed_form_moments(spec)
@@ -116,6 +111,9 @@ def cmd_moments(args):
 
 
 def cmd_distinguish(args):
+    from .distinguisher import TV_UPPER_C, build_test, draw_h_samples, error_rates
+    from .sampling import SeedSpec, check_trial_size
+
     spec = ChainSpec(args.p, args.q, _parse_inner(args.inner))
     if args.trials < 10:
         raise ValueError("distinguish requires at least 10 trials per ensemble")
@@ -141,6 +139,18 @@ def cmd_distinguish(args):
 
 
 def cmd_sweep(args):
+    import numpy as np
+
+    from .distinguisher import (
+        TV_UPPER_C,
+        build_test,
+        draw_h_samples,
+        error_rates,
+        tv_lower_bound_empirical,
+        tv_upper_bound,
+    )
+    from .sampling import _MAX_TRIAL_NORMALS, SeedSpec, check_trial_size
+
     if args.r < 2:
         raise ValueError("sweep requires at least two factors (--r >= 2)")
     if args.d_min < 1:

@@ -10,12 +10,16 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def as_matrix(x) -> np.ndarray:
     """Coerce ``x`` to a 2-D float64 array with positive dims and finite entries."""
+    import numpy as np  # here, so that a ChainSpec costs no numpy import
+
     m = np.asarray(x, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")

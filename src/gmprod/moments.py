@@ -16,6 +16,7 @@ over the whole chain in one pass, in exact integers.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -115,15 +116,19 @@ def mean_h_product_exact(spec: ChainSpec) -> Fraction:
 
 
 def as_float(value: Fraction, name: str) -> float:
-    """An exact value as a float; a ValueError naming ``name`` if it is too large for one."""
+    """An exact value as a float; a ValueError naming ``name`` if it is too large for one,
+    or nonzero and below the smallest normal float (it would print as 0 or with lost digits).
+    """
     try:
-        return float(value)
+        result = float(value)
     except OverflowError:
-        exponent = math.floor(math.log10(abs(value.numerator)) - math.log10(value.denominator))
-        raise ValueError(
-            f"{name} of this chain is about 10^{exponent}, too large for a float; "
-            "use fewer factors or smaller p and q"
-        ) from None
+        problem = "too large for a float; use fewer factors or smaller p and q"
+    else:
+        if not value or abs(result) >= sys.float_info.min:
+            return result
+        problem = "too small for a float; use smaller inner dimensions"
+    exponent = math.floor(math.log10(abs(value.numerator)) - math.log10(value.denominator))
+    raise ValueError(f"{name} of this chain is about 10^{exponent}, {problem}")
 
 
 def var_h_product_exact(spec: ChainSpec) -> Fraction:

@@ -630,6 +630,51 @@ def in_fresh_interpreter(argv, **env):
     return done.returncode, done.stdout, done.stderr
 
 
+# Imports the package and the CLI, with numpy blocked when argv[1] is
+# "blocked", then runs main on each argv of the JSON list argv[2] and prints
+# what each call gave: [status, stdout, stderr], or "ImportError".
+_NUMPY_PROBE = """
+import contextlib, io, json, sys
+if sys.argv[1] == "blocked":
+    sys.modules["numpy"] = None  # every import of numpy now raises ImportError
+import gmprod
+from gmprod.cli import main
+results = []
+for argv in json.loads(sys.argv[2]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except ImportError:
+            code = "ImportError"
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps({"results": results, "all_in_dir": set(gmprod.__all__) <= set(dir(gmprod))}))
+"""
+
+
+def numpy_probe(mode, argvs):
+    done = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, mode, json.dumps(argvs)],
+        capture_output=True, text=True, timeout=120, check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(gmprod.__file__).parents[1])},
+    )
+    return json.loads(done.stdout)
+
+
+def test_oracle_and_usage_errors_run_without_numpy():
+    # the package, the CLI, the oracle and the parser's refusals are exact
+    # arithmetic and argparse; only a subcommand that draws needs numpy
+    argvs = [["oracle", "--p", "3", "--q", "4"], *USAGE_ERRORS.values()]
+    distinguish = ["distinguish", "--p", "2", "--q", "2", "--inner", "4", "--trials", "10"]
+    free = numpy_probe("free", argvs)
+    blocked = numpy_probe("blocked", [*argvs, distinguish])
+    assert [code for code, _, _ in free["results"]] == [0, 2, 2, 2]
+    assert blocked["results"] == [*free["results"], ["ImportError", "", ""]]
+    assert blocked["all_in_dir"] and free["all_in_dir"]
+
+
 def test_one_parser_serves_every_call():
     # The parser is built once per process: refusals, then every pinned
     # argv, then the refusals again, each with the bytes a first call gives.
@@ -738,15 +783,21 @@ def test_dimension_too_large_for_a_float_rejected(argv, named, capsys):
     assert named in err
 
 
-def test_inner_dimension_too_large_for_a_float_accepted(capsys):
-    # moments never divides by d as a float: the exact means of this chain
-    # round to 0.0, and the moment vector is printed exactly
-    d = 10**400
+@pytest.mark.parametrize(
+    "d, exponent",
+    [
+        # both means would print as 0.0, although they differ
+        (10**400, -799),
+        # both means would print as the subnormal 2e-319, although they differ
+        (10**160, -319),
+    ],
+    ids=["inner-1e400", "inner-1e160"],
+)
+def test_exact_value_too_small_for_a_float_named(d, exponent, capsys):
     code, out, err = run_cli(["moments", "--p", "2", "--q", "2", "--inner", str(d)], capsys)
-    assert (code, err) == (0, "")
-    report = json.loads(out)
-    assert report["mean_product"] == report["mean_single"] == 0.0
-    assert report["s4"] == gmprod.closed_form_moments(gmprod.ChainSpec(2, 2, (d,))).s4
+    assert_refused(code, out, err)
+    assert err == (f"gmprod: mu_single of this chain is about 10^{exponent}, too small for a float; "
+                   "use smaller inner dimensions\n")
 
 
 @pytest.mark.parametrize(
@@ -796,7 +847,7 @@ def test_trial_above_the_size_limit_refused_before_the_exact_moments(argv, capsy
     def build_test(spec):
         raise AssertionError("the exact moments were computed before the size check")
 
-    monkeypatch.setattr(cli, "build_test", build_test)
+    monkeypatch.setattr(gmprod.distinguisher, "build_test", build_test)
     code, out, err = run_cli(argv.split(), capsys)
     assert_refused(code, out, err)
     assert "limit" in err
@@ -816,7 +867,7 @@ def test_exact_value_too_large_for_a_float_refused_before_the_draw(argv, field, 
     def draw_h_samples(spec, n, seed):
         raise AssertionError("the trials were drawn before the test plan")
 
-    monkeypatch.setattr(cli, "draw_h_samples", draw_h_samples)
+    monkeypatch.setattr(gmprod.distinguisher, "draw_h_samples", draw_h_samples)
     code, out, err = run_cli(argv.split(), capsys)
     assert_refused(code, out, err)
     assert err.startswith(f"gmprod: {field} of this chain is about 10^")

@@ -1,4 +1,5 @@
 import math
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -13,6 +14,7 @@ from gmprod.sampling import h_samples
 from gmprod.moments import (
     WISHART_TRACE_MOMENTS,
     MomentVector,
+    as_float,
     closed_form_moments,
     mean_h_product_exact,
     var_h_product_exact,
@@ -310,3 +312,24 @@ class TestMonteCarloConsistency:
             if ok_prod and ok_single:
                 passing += 1
         assert passing / len(self.GRID) >= 0.95
+
+
+class TestAsFloat:
+    def test_exact_zero_converts(self):
+        assert as_float(Fraction(0), "x") == 0.0
+
+    def test_smallest_normal_float_converts(self):
+        assert as_float(Fraction(sys.float_info.min), "x") == sys.float_info.min
+
+    @pytest.mark.parametrize(
+        "value, exponent",
+        [(Fraction(1, 10**400), -400), (Fraction(2, 10**320), -320), (Fraction(-3, 10**310), -310)],
+    )
+    def test_below_the_smallest_normal_float_refused(self, value, exponent):
+        # a subnormal float keeps too few digits, and 0.0 would hide a nonzero value
+        with pytest.raises(ValueError, match=rf"^x of this chain is about 10\^{exponent}, too small for a float"):
+            as_float(value, "x")
+
+    def test_above_the_largest_float_refused(self):
+        with pytest.raises(ValueError, match=r"^x of this chain is about 10\^400, too large for a float"):
+            as_float(Fraction(10**400), "x")
