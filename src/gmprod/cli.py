@@ -15,13 +15,13 @@ every ``main`` call in the process parses with it. Importing this module
 loads only the exact-arithmetic modules (``core``, ``moments``,
 ``oracle``), so ``oracle`` and a usage error run without numpy;
 ``moments``, ``distinguish`` and ``sweep`` import the test plan and the
-samplers, and with them numpy, when they run.
+samplers, and with them numpy, when they run. ``csv`` is imported only
+when CSV is written.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
@@ -70,6 +70,8 @@ def _csv_field(value) -> str:
 
 def _csv_text(header: list[str], records: list[dict]) -> str:
     """The header line, then one line per record holding its ``header`` fields in order."""
+    import csv  # here, so that a JSON-only run never loads it
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)

@@ -2,14 +2,19 @@
 
 Matrices are plain 2-D float64 numpy arrays; every public operation
 validates its inputs and returns finite values, and a ``ChainSpec`` is
-valid once built. All functions are pure, so values can be shared freely
+valid once built, also after a copy or a pickle, which rebuild it through
+its constructor. All functions are pure, so values can be shared freely
 between concurrent workers.
+
+The package's records (``ChainSpec``, ``MomentVector``, ``SeedSpec``,
+``TestPlan``) are immutable ``__slots__`` classes on ``_Record``, not
+dataclasses: importing ``dataclasses`` loads ``inspect``, about a third
+of the time that importing ``gmprod.cli`` would take with it.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -41,8 +46,46 @@ def _dimension(name: str, value) -> int:
     return index
 
 
-@dataclass(frozen=True)
-class ChainSpec:
+class _Record:
+    """An immutable record whose fields are its class's ``__slots__``, in order.
+
+    ``==``, ``hash`` and ``repr`` go by the field values, and a record equals
+    only a record of its own class. A subclass's ``__init__`` sets every
+    field once, one ``object.__setattr__`` call per field: a loop over the
+    slots built a ``ChainSpec`` about 1.5 times as slowly on cold caches,
+    as in an ``oracle`` op. After that, assigning or deleting an attribute
+    raises AttributeError. Copy and pickle call the class with the field
+    values, so they pass the constructor's checks.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
+class ChainSpec(_Record):
     """Dimension profile of a matrix-product ensemble.
 
     ``p`` and ``q`` are the output rows/columns; ``inner`` lists the
@@ -51,20 +94,16 @@ class ChainSpec:
     The constructor enforces closure: the last inner dimension equals the first.
     """
 
-    p: int
-    q: int
-    inner: tuple[int, ...] = ()
+    __slots__ = ("p", "q", "inner")
 
-    def __post_init__(self):
-        object.__setattr__(self, "p", _dimension("p", self.p))
-        object.__setattr__(self, "q", _dimension("q", self.q))
-        object.__setattr__(
-            self, "inner", tuple(_dimension("inner dimension", d) for d in self.inner)
-        )
-        if self.inner and self.inner[-1] != self.inner[0]:
-            raise ValueError(
-                f"last inner dimension {self.inner[-1]} must equal the first {self.inner[0]}"
-            )
+    def __init__(self, p: int, q: int, inner: tuple[int, ...] = ()):
+        p, q = _dimension("p", p), _dimension("q", q)
+        inner = tuple(_dimension("inner dimension", d) for d in inner)
+        if inner and inner[-1] != inner[0]:
+            raise ValueError(f"last inner dimension {inner[-1]} must equal the first {inner[0]}")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "inner", inner)
 
     @property
     def r(self) -> int:

@@ -12,11 +12,10 @@ estimates a TV lower bound with no correction for sampling noise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ChainSpec
+from .core import ChainSpec, _Record
 from .moments import as_float, mean_h_product_exact, var_h_product_exact
 from .sampling import SeedSpec, h_samples, sample_product, sample_single
 
@@ -25,18 +24,21 @@ from .sampling import SeedSpec, h_samples, sample_product, sample_single
 TV_UPPER_C = 1.0
 
 
-@dataclass(frozen=True)
-class TestPlan:
+class TestPlan(_Record):
     """The whole threshold test of one chain, as ``build_test`` computes it."""
 
     __test__ = False  # not a pytest class, despite the name
+    __slots__ = ("mu_single", "mu_product", "threshold", "var_single", "var_product",
+                 "chebyshev_error_bound")
 
-    mu_single: float
-    mu_product: float
-    threshold: float
-    var_single: float
-    var_product: float
-    chebyshev_error_bound: float
+    def __init__(self, mu_single: float, mu_product: float, threshold: float,
+                 var_single: float, var_product: float, chebyshev_error_bound: float):
+        object.__setattr__(self, "mu_single", mu_single)
+        object.__setattr__(self, "mu_product", mu_product)
+        object.__setattr__(self, "threshold", threshold)
+        object.__setattr__(self, "var_single", var_single)
+        object.__setattr__(self, "var_product", var_product)
+        object.__setattr__(self, "chebyshev_error_bound", chebyshev_error_bound)
 
 
 def _chebyshev_error(gap: float, var_single: float, var_product: float) -> float:

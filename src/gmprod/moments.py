@@ -17,14 +17,12 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import ChainSpec
+from .core import ChainSpec, _Record
 
 
-@dataclass(frozen=True)
-class MomentVector:
+class MomentVector(_Record):
     """Invariant fourth-order moments of one ensemble.
 
     s1: diagonal entry fourth moment        E A_11^4
@@ -35,12 +33,16 @@ class MomentVector:
     s6: rectangle                           E A_11 A_12 A_21 A_22
     """
 
-    s1: int | float
-    s2: int | float
-    s3: int | float
-    s4: int | float
-    s5: int | float
-    s6: int | float
+    __slots__ = ("s1", "s2", "s3", "s4", "s5", "s6")
+
+    def __init__(self, s1: int | float, s2: int | float, s3: int | float,
+                 s4: int | float, s5: int | float, s6: int | float):
+        object.__setattr__(self, "s1", s1)
+        object.__setattr__(self, "s2", s2)
+        object.__setattr__(self, "s3", s3)
+        object.__setattr__(self, "s4", s4)
+        object.__setattr__(self, "s5", s5)
+        object.__setattr__(self, "s6", s6)
 
     def as_tuple(self):
         return (self.s1, self.s2, self.s3, self.s4, self.s5, self.s6)

@@ -41,11 +41,10 @@ import math
 import os
 import threading
 from collections.abc import Callable
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ChainSpec, as_matrix
+from .core import ChainSpec, _Record, as_matrix
 
 _U64 = 1 << 64
 # the four-word output block of a Philox that has drawn nothing yet
@@ -70,21 +69,20 @@ def _check_u64(name: str, value) -> None:
         raise _u64_error(name, value)
 
 
-@dataclass(frozen=True)
-class SeedSpec:
+class SeedSpec(_Record):
     """Identifies one random stream: a master seed plus a trial index."""
 
-    master_seed: int
-    stream_index: int = 0
+    __slots__ = ("master_seed", "stream_index")
 
-    def __post_init__(self):
-        for name in ("master_seed", "stream_index"):
-            value = getattr(self, name)
+    def __init__(self, master_seed: int, stream_index: int = 0):
+        for name, value in zip(self.__slots__, (master_seed, stream_index)):
             # a bool is an int, but no seed; stream_rng need not test for one,
             # since the index it checks is a sum, which is never a bool
             if isinstance(value, bool):
                 raise _u64_error(name, value)
             _check_u64(name, value)
+        object.__setattr__(self, "master_seed", master_seed)
+        object.__setattr__(self, "stream_index", stream_index)
 
     def stream(self, offset: int) -> "SeedSpec":
         """Seed for the stream ``offset`` positions after this one."""

@@ -675,6 +675,46 @@ def test_oracle_and_usage_errors_run_without_numpy():
     assert blocked["all_in_dir"] and free["all_in_dir"]
 
 
+# Prints, at each stage, which of the modules in HEAVY the gmprod imports
+# so far have loaded: after importing the CLI, after main runs each argv of
+# the JSON list argv[1], and after importing the numpy modules.
+_FOOTPRINT_PROBE = """
+import contextlib, io, json, sys
+HEAVY = ("numpy", "dataclasses", "inspect", "csv")
+before = set(sys.modules)
+stages = []
+def stage(name):
+    stages.append([name, [m for m in HEAVY if m in sys.modules and m not in before]])
+from gmprod.cli import main
+stage("import gmprod.cli")
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    stage(f"{argv[0]}: exit {code}")
+import gmprod.moments, gmprod.sampling, gmprod.distinguisher
+stage("numpy modules")
+print(json.dumps(stages))
+"""
+
+
+def test_cli_import_footprint():
+    # the records are slots classes, not dataclasses (whose import loads inspect),
+    # and csv is imported only when CSV is written
+    argvs = [["oracle", "--p", "3", "--q", "4"], USAGE_ERRORS["not-an-int"]]
+    done = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT_PROBE, json.dumps(argvs)],
+        capture_output=True, text=True, timeout=120, check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(gmprod.__file__).parents[1])},
+    )
+    stages = json.loads(done.stdout)
+    assert stages[:3] == [["import gmprod.cli", []], ["oracle: exit 0", []], ["moments: exit 2", []]]
+    assert stages[3][0] == "numpy modules" and "numpy" in stages[3][1]
+    assert "dataclasses" not in stages[3][1]
+
+
 def test_one_parser_serves_every_call():
     # The parser is built once per process: refusals, then every pinned
     # argv, then the refusals again, each with the bytes a first call gives.

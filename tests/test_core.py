@@ -1,9 +1,13 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
 from gmprod.core import ChainSpec, as_matrix
-from gmprod.distinguisher import build_test, tv_upper_bound
-from gmprod.sampling import sample_product, sample_single
+from gmprod.distinguisher import TestPlan, build_test, tv_upper_bound
+from gmprod.moments import MomentVector
+from gmprod.sampling import SeedSpec, sample_product, sample_single
 
 
 def test_as_matrix_rejects_bad_shapes():
@@ -79,3 +83,77 @@ class TestChainSpec:
         spec = ChainSpec(p, q, inner)
         assert (spec.p, spec.q, spec.inner) == expected
         assert all(type(v) is int for v in (spec.p, spec.q, *spec.inner))
+
+
+# each record class, the field values of one instance, and that instance's repr
+RECORDS = {
+    "ChainSpec": (ChainSpec, (2, 2, (4,)), "ChainSpec(p=2, q=2, inner=(4,))"),
+    "MomentVector": (MomentVector, (3, 3, 1, 1, 1, 0),
+                     "MomentVector(s1=3, s2=3, s3=1, s4=1, s5=1, s6=0)"),
+    "SeedSpec": (SeedSpec, (1, 0), "SeedSpec(master_seed=1, stream_index=0)"),
+    "TestPlan": (TestPlan, (1.25, 1.9375, 1.59375, 0.1, 0.2, 1.0),
+                 "TestPlan(mu_single=1.25, mu_product=1.9375, threshold=1.59375, "
+                 "var_single=0.1, var_product=0.2, chebyshev_error_bound=1.0)"),
+}
+COPIES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda record: pickle.loads(pickle.dumps(record)),
+}
+
+
+@pytest.mark.parametrize("name", list(RECORDS))
+class TestRecordContract:
+    def test_fields_cannot_be_set_or_deleted(self, name):
+        cls, values, _ = RECORDS[name]
+        record = cls(*values)
+        for field in cls.__slots__:
+            with pytest.raises(AttributeError):
+                setattr(record, field, 7)
+            with pytest.raises(AttributeError):
+                delattr(record, field)
+        with pytest.raises(AttributeError):
+            record.extra = 7
+        assert record == cls(*values)
+
+    def test_equal_fields_give_equal_records_and_hashes(self, name):
+        cls, values, _ = RECORDS[name]
+        assert cls(*values) == cls(*values)
+        assert hash(cls(*values)) == hash(cls(*values))
+        assert cls(*values) != cls(values[0] + 1, *values[1:])
+
+    def test_never_equal_to_a_tuple_or_another_record_class(self, name):
+        cls, values, _ = RECORDS[name]
+        record = cls(*values)
+        assert record != values and values != record
+        for other_cls, other_values, _ in RECORDS.values():
+            if other_cls is not cls:
+                assert record != other_cls(*other_values)
+
+    def test_repr_is_pinned(self, name):
+        cls, values, text = RECORDS[name]
+        assert repr(cls(*values)) == text
+
+    @pytest.mark.parametrize("how", list(COPIES))
+    def test_copies_are_rebuilt_through_the_constructor(self, name, how, monkeypatch):
+        cls, values, _ = RECORDS[name]
+        record = cls(*values)
+        built = []
+        init = cls.__init__
+
+        def spy(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", spy)
+        again = COPIES[how](record)
+        assert type(again) is cls and again == record
+        assert built == [values]
+
+
+def test_records_of_different_classes_with_the_same_fields_differ():
+    assert MomentVector(1, 2, 3, 4, 5, 6) != TestPlan(1, 2, 3, 4, 5, 6)
+
+
+def test_test_plan_is_not_a_pytest_class():
+    assert TestPlan.__test__ is False
