@@ -30,7 +30,9 @@ def as_matrix(x) -> np.ndarray:
         raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
     if m.shape[0] < 1 or m.shape[1] < 1:
         raise ValueError(f"matrix dimensions must be positive, got {m.shape}")
-    if not np.isfinite(m).all():
+    # counting the finite entries is exact and sets no floating-point flag;
+    # a sum of the entries would warn when finite entries overflow it
+    if np.count_nonzero(np.isfinite(m)) != m.size:
         raise ValueError("matrix entries must be finite")
     return m
 

@@ -11,7 +11,12 @@ draws the same normals as a Philox built for its stream, without building
 one. The one-trial samplers ``sample_product`` and ``sample_single`` draw
 from the generator they are handed. Normal variates come from numpy's
 ziggurat implementation of ``Generator.standard_normal``; outputs are
-bit-reproducible for a pinned numpy version.
+bit-reproducible for a pinned numpy version. A chain whose inner
+dimensions all equal d1 draws all its factors with one fill, scaled once,
+and multiplies them as views of that buffer: the ziggurat fills an array
+in order, so each factor holds the normals a fill of its own shape would
+have drawn, and the product is the one factor-by-factor draws give, bit
+for bit.
 
 ``h_samples(sample, spec, n, seed)`` returns the statistic
 h = tr((A^T A)^2) of n trials drawn by a one-trial sampler, with trial i
@@ -123,7 +128,9 @@ def sample_single(spec: ChainSpec, rng: np.random.Generator) -> np.ndarray:
     Requires at least one inner dimension so the normalizer is defined.
     """
     scale = 1.0 / math.sqrt(spec.d1)
-    return scale * rng.standard_normal((spec.p, spec.q))
+    x = rng.standard_normal((spec.p, spec.q))
+    x *= scale  # in place: no second copy
+    return x
 
 
 def sample_product(spec: ChainSpec, rng: np.random.Generator) -> np.ndarray:
@@ -134,9 +141,25 @@ def sample_product(spec: ChainSpec, rng: np.random.Generator) -> np.ndarray:
     count; every ``ChainSpec`` closes up (d_{r-1} == d1) once built.
     Factors are drawn first-to-last from ``rng``, so a generator reset to
     a given stream always replays the identical product.
+
+    When every inner dimension equals d1 (every r = 2 chain among them),
+    all factors share the normalizer 1/sqrt(d1). Such a chain draws its
+    d1 * (p + q + (r - 2) * d1) normals with one fill, scales them once in
+    place, and multiplies the factors left to right as reshaped views of
+    that buffer. numpy fills an array in order, so each view holds exactly
+    the normals a fill of its own shape would have drawn, and the product
+    is the same bit for bit. Other chains draw and scale factor by factor.
     """
-    d1, r = spec.d1, spec.r
-    dims = (spec.p, *spec.inner, spec.q)
+    d1, r, p, q, inner = spec.d1, spec.r, spec.p, spec.q, spec.inner
+    if inner.count(d1) == r - 1:
+        x = rng.standard_normal(d1 * (p + q + (r - 2) * d1))
+        x *= 1.0 / math.sqrt(d1)
+        out = x[: p * d1].reshape(p, d1)
+        if r > 2:
+            for w in x[p * d1 : -d1 * q].reshape(-1, d1, d1):
+                out = out @ w
+        return out @ x[-d1 * q :].reshape(d1, q)
+    dims = (p, *inner, q)
     out = None
     for i in range(r):
         w = rng.standard_normal((dims[i], dims[i + 1]))

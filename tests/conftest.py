@@ -10,10 +10,14 @@ def random_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
 
 def philox_stream(seed) -> np.random.Generator:
     """A new generator for ``seed``'s stream, as the determinism policy defines it:
-    Philox keyed by the master seed, counter block ``stream_index``."""
-    return np.random.Generator(
-        np.random.Philox(key=(seed.master_seed, 0), counter=(0, 0, seed.stream_index, 0))
-    )
+    Philox keyed by the master seed, counter block ``stream_index``.
+
+    Key and counter are passed as uint64 arrays: numpy would convert a tuple
+    holding an int of 2**63 or more through float64 and round it.
+    """
+    key = np.array([seed.master_seed, 0], dtype=np.uint64)
+    counter = np.array([0, 0, seed.stream_index, 0], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 
 def stat_h(x) -> float:

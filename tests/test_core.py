@@ -1,5 +1,6 @@
 import copy
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -10,11 +11,37 @@ from gmprod.moments import MomentVector
 from gmprod.sampling import SeedSpec, sample_product, sample_single
 
 
-def test_as_matrix_rejects_bad_shapes():
-    with pytest.raises(ValueError):
-        as_matrix([1.0, 2.0])
-    with pytest.raises(ValueError):
-        as_matrix(np.zeros((0, 3)))
+@pytest.mark.parametrize(
+    "x",
+    [[[1.0, -2.0], [3.0, 0.5]], [[1e308, 1e308]], [[-1e308, -1e308]]],
+    ids=["finite", "sum-overflows", "sum-overflows-negative"],
+)
+def test_as_matrix_accepts_finite(x):
+    # finite entries pass, also where their sum would overflow, and come
+    # back unchanged without a floating-point warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = as_matrix(x)
+    assert m.dtype == np.float64
+    assert np.array_equal(m, np.array(x))
+
+
+@pytest.mark.parametrize(
+    "x, message",
+    [
+        ([1.0, 2.0], "expected a 2-D matrix, got ndim=1"),
+        (np.zeros((0, 3)), r"matrix dimensions must be positive, got \(0, 3\)"),
+        ([[np.inf, -np.inf]], "matrix entries must be finite"),  # their sum is nan
+        ([[np.nan, 0.0]], "matrix entries must be finite"),
+        ([[0.0, -np.inf]], "matrix entries must be finite"),
+    ],
+    ids=["1-d", "empty", "inf-minus-inf", "nan", "minus-inf"],
+)
+def test_as_matrix_refuses(x, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            as_matrix(x)
 
 
 class TestChainSpec:

@@ -16,6 +16,21 @@ def gaussian_matrix(rows, cols, seed):
     return stream_rng(seed, rng).standard_normal((rows, cols))
 
 
+def reference_product(spec, seed):
+    """The product sampler's arithmetic, rebuilt from the policy's stream, one fill per factor.
+
+    Factor i is (1/sqrt(d_i)) * g_i, the last one (1/sqrt(d1)) * g_r, each
+    g_i drawn in its own shape, multiplied left to right.
+    """
+    rng = philox_stream(seed)
+    dims = (spec.p, *spec.inner, spec.q)
+    scales = [1 / np.sqrt(d) for d in (*spec.inner, spec.inner[0])]
+    out = scales[0] * rng.standard_normal(dims[:2])
+    for i in range(1, spec.r):
+        out = out @ (scales[i] * rng.standard_normal(dims[i : i + 2]))
+    return out
+
+
 class TestSeedSpec:
     def test_bounds(self):
         SeedSpec(0, 0)
@@ -128,22 +143,16 @@ class TestSampleProduct:
             ChainSpec(3, 5, (7, 2, 7)),
             ChainSpec(8, 8, (2048,)),
             ChainSpec(2, 3, (6, 6)),
+            ChainSpec(3, 2, (5, 5, 5)),
+            ChainSpec(2, 3, (4, 9, 4)),
         ],
         ids=str,
     )
     def test_bit_exact_reference(self, spec):
-        # the sampler's arithmetic, rebuilt from the policy's stream: factor
-        # i is (1/sqrt(d_i)) * g_i (the last one 1/sqrt(d1)), multiplied
-        # left to right; the single ensemble is (1/sqrt(d1)) * g
         seed = SeedSpec(31, 4)
-        rng = philox_stream(seed)
-        dims = (spec.p, *spec.inner, spec.q)
-        scales = [1 / np.sqrt(d) for d in (*spec.inner, spec.inner[0])]
-        expected = scales[0] * rng.standard_normal(dims[:2])
-        for i in range(1, spec.r):
-            expected = expected @ (scales[i] * rng.standard_normal(dims[i : i + 2]))
-        assert np.array_equal(sample_product(spec, philox_stream(seed)), expected)
-        single = scales[0] * philox_stream(seed).standard_normal((spec.p, spec.q))
+        assert np.array_equal(sample_product(spec, philox_stream(seed)), reference_product(spec, seed))
+        # the single ensemble is (1/sqrt(d1)) * g
+        single = (1 / np.sqrt(spec.d1)) * philox_stream(seed).standard_normal((spec.p, spec.q))
         assert np.array_equal(sample_single(spec, philox_stream(seed)), single)
 
     def test_single_factor_rejected(self):
@@ -168,6 +177,24 @@ class TestSampleProduct:
 def test_product_shape_property(p, q, d, seed):
     spec = ChainSpec(p, q, (d,))
     assert sample_product(spec, philox_stream(SeedSpec(seed))).shape == (p, q)
+
+
+@st.composite
+def closed_chains(draw):
+    """A closed chain with p, q <= 4, r = 2..5 and inner dimensions 1..6, equal or not."""
+    r = draw(st.integers(2, 5))
+    d1 = draw(st.integers(1, 6))
+    middle = st.just(d1) if draw(st.booleans()) else st.integers(1, 6)
+    inner = (d1,) if r == 2 else (d1, *draw(st.lists(middle, min_size=r - 3, max_size=r - 3)), d1)
+    return ChainSpec(draw(st.integers(1, 4)), draw(st.integers(1, 4)), inner)
+
+
+@given(closed_chains(), st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1))
+def test_product_matches_per_factor_reference(spec, master_seed, stream_index):
+    # one fill with views (all inner dimensions equal) and per-factor
+    # fills (otherwise) both replay the per-factor draws bit for bit
+    seed = SeedSpec(master_seed, stream_index)
+    assert np.array_equal(sample_product(spec, philox_stream(seed)), reference_product(spec, seed))
 
 
 def test_stream_independence_cross_correlation():
