@@ -11,12 +11,11 @@ draws the same normals as a Philox built for its stream, without building
 one. The one-trial samplers ``sample_product`` and ``sample_single`` draw
 from the generator they are handed. Normal variates come from numpy's
 ziggurat implementation of ``Generator.standard_normal``; outputs are
-bit-reproducible for a pinned numpy version. A chain whose inner
-dimensions all equal d1 draws all its factors with one fill, scaled once,
-and multiplies them as views of that buffer: the ziggurat fills an array
-in order, so each factor holds the normals a fill of its own shape would
-have drawn, and the product is the one factor-by-factor draws give, bit
-for bit.
+bit-reproducible for a pinned numpy version. A two-factor chain draws
+both factors with one fill, scaled once, and multiplies them as views of
+that buffer: the ziggurat fills an array in order, so each factor holds
+the normals a fill of its own shape would have drawn, and the product is
+the one factor-by-factor draws give, bit for bit.
 
 ``h_samples(sample, spec, n, seed)`` returns the statistic
 h = tr((A^T A)^2) of n trials drawn by a one-trial sampler, with trial i
@@ -142,24 +141,20 @@ def sample_product(spec: ChainSpec, rng: np.random.Generator) -> np.ndarray:
     Factors are drawn first-to-last from ``rng``, so a generator reset to
     a given stream always replays the identical product.
 
-    When every inner dimension equals d1 (every r = 2 chain among them),
-    all factors share the normalizer 1/sqrt(d1). Such a chain draws its
-    d1 * (p + q + (r - 2) * d1) normals with one fill, scales them once in
-    place, and multiplies the factors left to right as reshaped views of
-    that buffer. numpy fills an array in order, so each view holds exactly
-    the normals a fill of its own shape would have drawn, and the product
-    is the same bit for bit. Other chains draw and scale factor by factor.
+    A two-factor chain (r = 2, so inner == (d1,)) scales both factors by
+    1/sqrt(d1). It draws its d1 * (p + q) normals with one fill, scales
+    them once in place, and multiplies the two factors as reshaped views
+    of that buffer. numpy fills an array in order, so each view holds
+    exactly the normals a fill of its own shape would have drawn, and the
+    product is the same bit for bit. Longer chains draw and scale factor
+    by factor, so they hold one factor's normals at a time.
     """
-    d1, r, p, q, inner = spec.d1, spec.r, spec.p, spec.q, spec.inner
-    if inner.count(d1) == r - 1:
-        x = rng.standard_normal(d1 * (p + q + (r - 2) * d1))
+    d1, r, p, q = spec.d1, spec.r, spec.p, spec.q
+    if r == 2:
+        x = rng.standard_normal(d1 * (p + q))
         x *= 1.0 / math.sqrt(d1)
-        out = x[: p * d1].reshape(p, d1)
-        if r > 2:
-            for w in x[p * d1 : -d1 * q].reshape(-1, d1, d1):
-                out = out @ w
-        return out @ x[-d1 * q :].reshape(d1, q)
-    dims = (p, *inner, q)
+        return x[: p * d1].reshape(p, d1) @ x[p * d1 :].reshape(d1, q)
+    dims = (p, *spec.inner, q)
     out = None
     for i in range(r):
         w = rng.standard_normal((dims[i], dims[i + 1]))

@@ -191,8 +191,8 @@ def closed_chains(draw):
 
 @given(closed_chains(), st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1))
 def test_product_matches_per_factor_reference(spec, master_seed, stream_index):
-    # one fill with views (all inner dimensions equal) and per-factor
-    # fills (otherwise) both replay the per-factor draws bit for bit
+    # one fill with views (r = 2) and per-factor fills (longer chains)
+    # both replay the per-factor draws bit for bit
     seed = SeedSpec(master_seed, stream_index)
     assert np.array_equal(sample_product(spec, philox_stream(seed)), reference_product(spec, seed))
 
