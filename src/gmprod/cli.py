@@ -145,13 +145,13 @@ def cmd_sweep(args):
 
     from .distinguisher import (
         TV_UPPER_C,
+        _ensemble_jobs,
         build_test,
-        draw_h_samples,
         error_rates,
         tv_lower_bound_empirical,
         tv_upper_bound,
     )
-    from .sampling import _MAX_TRIAL_NORMALS, SeedSpec, check_trial_size
+    from .sampling import _CHUNK_ENTRIES, _MAX_TRIAL_NORMALS, SeedSpec, check_trial_size, h_samples
 
     if args.r < 2:
         raise ValueError("sweep requires at least two factors (--r >= 2)")
@@ -190,21 +190,32 @@ def cmd_sweep(args):
             f"draw at least {inner_normals} normals per trial; the limit is {_MAX_TRIAL_NORMALS} "
             "values per trial"
         )
-    rows = []
-    for k, d in enumerate(grid):
+    # every row is checked before any is drawn, so a refused row draws nothing
+    specs, plans = [], []
+    for d in grid:
         spec = ChainSpec(args.p, args.q, (d,) * (args.r - 1))
         check_trial_size(spec)  # in the order of cmd_distinguish: cheapest refusal first
-        plan = build_test(spec)
-        row_seed = SeedSpec(args.seed, k * 2 * args.trials)
-        h_product, h_single = draw_h_samples(spec, args.trials, row_seed)
-        rows.append({
-            "d": d,
-            "accuracy": error_rates(h_product, h_single, plan)["accuracy"],
-            "tv_lower_empirical": tv_lower_bound_empirical(h_product, h_single),
-            "tv_upper_c1": tv_upper_bound(spec),
-            "chebyshev_error": plan.chebyshev_error_bound,
-            "mean_gap": plan.mu_product - plan.mu_single,
-        })
+        specs.append(spec)
+        plans.append(build_test(spec))
+    # consecutive rows share an engine call, holding at most max(2 * trials, _CHUNK_ENTRIES) values
+    per_call = max(1, _CHUNK_ENTRIES // (2 * args.trials))
+    rows = []
+    for start in range(0, len(grid), per_call):
+        group = range(start, min(start + per_call, len(grid)))
+        jobs = []
+        for k in group:
+            jobs += _ensemble_jobs(specs[k], args.trials, SeedSpec(args.seed, k * 2 * args.trials))
+        values = h_samples(jobs)
+        for k, h_product, h_single in zip(group, values[::2], values[1::2]):
+            spec, plan = specs[k], plans[k]
+            rows.append({
+                "d": grid[k],
+                "accuracy": error_rates(h_product, h_single, plan)["accuracy"],
+                "tv_lower_empirical": tv_lower_bound_empirical(h_product, h_single),
+                "tv_upper_c1": tv_upper_bound(spec),
+                "chebyshev_error": plan.chebyshev_error_bound,
+                "mean_gap": plan.mu_product - plan.mu_single,
+            })
     report = {
         "p": args.p, "q": args.q, "r": args.r, "trials": args.trials, "seed": args.seed,
         "constants": {"c": TV_UPPER_C},

@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import ChainSpec, _Record
 from .moments import as_float, mean_h_product_exact, var_h_product_exact
-from .sampling import SeedSpec, h_samples, sample_product, sample_single
+from .sampling import Job, SeedSpec, h_samples, sample_product, sample_single
 
 # The TV upper bound's multiplier, fixed at 1 as the sweep column name
 # tv_upper_c1 says; every CLI report echoes it under the key "constants".
@@ -70,17 +70,21 @@ def build_test(spec: ChainSpec) -> TestPlan:
     return TestPlan(mu_single, mu_product, threshold, var_single, var_product, bound)
 
 
-def draw_h_samples(spec: ChainSpec, n: int, seed: SeedSpec) -> tuple[np.ndarray, np.ndarray]:
-    """n statistic values from each ensemble.
+def _ensemble_jobs(spec: ChainSpec, n: int, seed: SeedSpec) -> list[Job]:
+    """``h_samples`` jobs of n trials from each ensemble, the product first.
 
     Product trial i uses stream ``seed.stream_index + i`` and single trial
     i uses stream ``seed.stream_index + n + i``, so the two batches are
     independent and any trial order reproduces the same values.
     """
-    return (
-        h_samples(sample_product, spec, n, seed),
-        h_samples(sample_single, spec, n, seed.stream(n)),
-    )
+    return [(sample_product, spec, n, seed), (sample_single, spec, n, seed.stream(n))]
+
+
+def draw_h_samples(spec: ChainSpec, n: int, seed: SeedSpec) -> tuple[np.ndarray, np.ndarray]:
+    """n statistic values from each ensemble, drawn by one ``h_samples`` call on the streams
+    ``_ensemble_jobs`` assigns."""
+    h_product, h_single = h_samples(_ensemble_jobs(spec, n, seed))
+    return h_product, h_single
 
 
 def error_rates(h_product, h_single, plan: TestPlan) -> dict[str, float]:

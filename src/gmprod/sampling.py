@@ -17,26 +17,33 @@ that buffer: the ziggurat fills an array in order, so each factor holds
 the normals a fill of its own shape would have drawn, and the product is
 the one factor-by-factor draws give, bit for bit.
 
-``h_samples(sample, spec, n, seed)`` returns the statistic
-h = tr((A^T A)^2) of n trials drawn by a one-trial sampler, with trial i
-on stream ``seed.stream_index + i``. The n trials are split once into
-contiguous blocks, one per worker; the calling thread is worker 0. A
-worker owns a Philox generator keyed by the master seed and a stack, and
-walks its block in chunks, resetting the generator with ``stream_rng``
-before each trial. Each trial's matrix is checked by ``as_matrix`` into
-one slot of the stack; the statistic then runs as stacked matrix products
-over the chunk, the only place the package computes h. A stack holds at
-most ``_CHUNK_ENTRIES`` matrix entries, so a larger trial runs alone.
+``h_samples(jobs)`` returns, for each job ``(sample, spec, n, seed)``,
+the statistic h = tr((A^T A)^2) of n trials drawn by the one-trial
+sampler ``sample``, with trial i on stream ``seed.stream_index + i``.
+Each job is cut into pieces of contiguous trials, at most one stack of
+``_CHUNK_ENTRIES`` matrix entries each (a larger trial is a piece
+alone). Every piece of every job goes to one set of workers, largest
+draw first (Graham's LPT rule): a worker owns a Philox generator and
+pulls the next piece from one shared iterator, resets the generator with
+``stream_rng`` before each trial, checks each trial's matrix by
+``as_matrix`` into one slot of a stack, and then computes the statistic
+as stacked matrix products over the piece, the only place the package
+computes h.
 
-A chain that draws at least ``_PARALLEL_NORMALS`` normals per trial gets
-one worker per CPU the process may run on, but no more than a chunk holds
-trials; other chains run on the calling thread. Worker threads start once
-per call and are joined before it returns, also on error. numpy's normal
-fill loop, large ufuncs and BLAS release the interpreter lock, so the
-draws overlap. A trial's values depend on its stream alone, so the output
-is the same bit for bit whatever the number of workers. No trial may draw
-or store more than ``_MAX_TRIAL_NORMALS`` values. None of these limits is
-a setting.
+A job whose sampler draws at least ``_PARALLEL_NORMALS`` normals per
+trial (p*q for ``sample_single``, the whole chain for any other sampler)
+is also cut into pieces of at most ceil(n / cpus) trials, where cpus
+counts the CPUs the process may run on; if its stack holds more than one
+trial, the call is threaded, with one worker per CPU but no more than
+there are pieces. Otherwise every piece
+runs on the calling thread. The calling thread is a worker; the others
+start once per call and are joined before it returns, also on error.
+numpy's normal fill loop, large ufuncs and BLAS release the interpreter
+lock, so the draws overlap. A trial's values depend on its stream alone,
+so the output is the same bit for bit whatever the workers or the order
+of the pieces, and a failing call raises the error of its lowest failing
+(job, trial). No trial may draw or store more than
+``_MAX_TRIAL_NORMALS`` values. None of these limits is a setting.
 """
 
 from __future__ import annotations
@@ -44,7 +51,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 
 import numpy as np
 
@@ -57,7 +64,7 @@ _EMPTY_BUFFER = (0, 0, 0, 0)
 _CHUNK_ENTRIES = 1 << 15
 # Below 2**12 normals per trial, a trial spends most of its time in
 # interpreter work, which holds the interpreter lock and so cannot
-# overlap; such chains run on the calling thread.
+# overlap; a call of such jobs alone runs on the calling thread.
 _PARALLEL_NORMALS = 1 << 12
 # 2**26 float64 values, 512 MiB: the most one trial may draw or store.
 # Every worker holds a trial at a time, so this also bounds their memory.
@@ -196,60 +203,118 @@ def check_trial_size(spec: ChainSpec) -> int:
     return normals
 
 
-def h_samples(
-    sample: Callable[[ChainSpec, np.random.Generator], np.ndarray],
-    spec: ChainSpec,
-    n: int,
-    seed: SeedSpec,
-) -> np.ndarray:
-    """h of n trials of ``sample(spec, rng)``, trial i on stream ``seed.stream_index + i``.
+# one batch of trials for ``h_samples``: (sampler, chain, trials, first trial's stream)
+Job = tuple[Callable[[ChainSpec, np.random.Generator], np.ndarray], ChainSpec, int, SeedSpec]
 
-    Raises ValueError, before drawing anything, when ``check_trial_size``
-    refuses the chain or the n values cannot be allocated.
+
+def _unwrapped(sample):
+    # a traced or recording wrapper keeps the function it wraps in __wrapped__
+    while hasattr(sample, "__wrapped__"):
+        sample = sample.__wrapped__
+    return sample
+
+
+def _pieces(jobs: list[Job], cpus: int) -> tuple[Iterator[tuple[int, int, int]], int, bool]:
+    """The pieces of ``jobs`` as (job, first trial, trials), most normals first, their count,
+    and whether to thread.
+
+    A piece holds at most one stack of trials. A job whose trials draw at
+    least ``_PARALLEL_NORMALS`` normals each (p*q for ``sample_single``,
+    the whole chain for any other sampler) is also cut into pieces of at
+    most ceil(n / cpus) trials, and makes the call threaded if its stack
+    holds more than one trial. A job is at most two runs of equal pieces,
+    which are sorted, stably, so equal pieces keep their job and trial
+    order; the pieces themselves are made as they are taken, so a job of
+    many one-trial pieces costs no list of them.
     """
-    if n < 1:
-        raise ValueError(f"need at least one trial, got {n}")
-    seed.stream(n - 1)  # the last trial's stream index must fit in 64 bits
-    normals = check_trial_size(spec)
-    chunk = max(1, min(n, _CHUNK_ENTRIES // (spec.p * spec.q)))
-    # a chain whose matrix fills a stack alone (p*q > 2**14) gets chunks of one
-    # trial, so it stays on one thread: threading it measured up to 2.4x slower
-    workers = min(_cpu_count(), chunk) if normals >= _PARALLEL_NORMALS else 1
-    key = np.array([seed.master_seed, 0], dtype=np.uint64)
-    try:
-        out = np.empty(n)
-    except (ValueError, MemoryError):  # numpy's own message names no option
-        raise ValueError(f"cannot allocate the values of {n} trials; use fewer trials") from None
-    errors: list[BaseException | None] = [None] * workers
+    runs, threaded = [], False  # (normals per piece, job, first trial, trials per piece, pieces)
+    for j, (sample, spec, n, _) in enumerate(jobs):
+        normals = check_trial_size(spec)
+        if _unwrapped(sample) is _unwrapped(sample_single):
+            normals = spec.p * spec.q
+        size = max(1, min(n, _CHUNK_ENTRIES // (spec.p * spec.q)))
+        if normals >= _PARALLEL_NORMALS:
+            # a trial that fills a stack alone (p*q > 2**14) keeps the call on one
+            # thread: threading such chains measured up to 2.4x slower
+            threaded = threaded or size > 1
+            size = min(size, -(-n // cpus))
+        full, rest = divmod(n, size)
+        runs.append((normals * size, j, 0, size, full))
+        if rest:
+            runs.append((normals * rest, j, n - rest, rest, 1))
+    runs.sort(key=lambda run: -run[0])
+    pieces = ((j, first + k * m, m) for _, j, first, m, count in runs for k in range(count))
+    return pieces, sum(run[4] for run in runs), threaded
 
-    def work(w: int) -> None:
-        """Draw the w-th of ``workers`` contiguous blocks of trials, chunk by chunk."""
+
+def h_samples(jobs: list[Job]) -> list[np.ndarray]:
+    """h of the trials of each job ``(sample, spec, n, seed)``: n values of ``sample(spec, rng)``.
+
+    Trial i of a job is on stream ``seed.stream_index + i``. Raises
+    ValueError, before drawing anything, when a job has no trial, its last
+    stream index does not fit in 64 bits, ``check_trial_size`` refuses its
+    chain or its n values cannot be allocated; the jobs are checked in
+    order. A failing trial raises the lowest failing (job, trial)'s error.
+    """
+    outs = []
+    for _, spec, n, seed in jobs:
+        if n < 1:
+            raise ValueError(f"need at least one trial, got {n}")
+        seed.stream(n - 1)  # the last trial's stream index must fit in 64 bits
+        check_trial_size(spec)
         try:
-            start, stop = n * w // workers, n * (w + 1) // workers
-            # built per call through np.random.Philox, never cached at import
-            rng = np.random.Generator(np.random.Philox(key=key))
-            stack = np.empty((min(chunk, stop - start), spec.p, spec.q))
-            for first in range(start, stop, chunk):
-                m = min(chunk, stop - first)
-                for t in range(m):
-                    stack[t] = as_matrix(sample(spec, stream_rng(seed, rng, first + t)))
-                out[first : first + m] = _stacked_h(stack[:m])
+            outs.append(np.empty(n))
+        except (ValueError, MemoryError):  # numpy's own message names no option
+            raise ValueError(f"cannot allocate the values of {n} trials; use fewer trials") from None
+    cpus = _cpu_count()
+    pending, count, threaded = _pieces(jobs, cpus)
+    workers = min(cpus, count) if threaded else 1
+    lock = threading.Lock()
+    failure: list[tuple[int, int, BaseException]] = []  # the lowest failing (job, trial) yet
+
+    def fail(job: int, trial: int, exc: BaseException) -> None:
+        with lock:
+            if not failure or (job, trial) < failure[0][:2]:
+                failure[:] = [(job, trial, exc)]
+
+    def work() -> None:
+        """Draw pieces until none is left that could hold a trial below the lowest failure."""
+        try:
+            # built per call through np.random.Philox, never cached at import; any
+            # key will do, since stream_rng sets each trial's key and counter
+            rng = np.random.Generator(np.random.Philox(key=0))
         except BaseException as exc:  # raised on the calling thread below
-            errors[w] = exc
+            fail(-1, -1, exc)
+            return
+        while True:
+            with lock:
+                # a piece that starts after the lowest failure cannot hold a lower one
+                piece = next((pc for pc in pending if not failure or pc[:2] < failure[0][:2]), None)
+            if piece is None:
+                return
+            j, first, m = piece
+            sample, spec, _, seed = jobs[j]
+            trial = first
+            try:
+                stack = np.empty((m, spec.p, spec.q))
+                for trial in range(first, first + m):
+                    stack[trial - first] = as_matrix(sample(spec, stream_rng(seed, rng, trial)))
+                outs[j][first : first + m] = _stacked_h(stack)
+            except Exception as exc:
+                fail(j, trial, exc)
+            except BaseException as exc:  # an interrupt: skip every piece not yet started
+                fail(-1, -1, exc)
 
     threads = []
     try:
-        for w in range(1, workers):
-            thread = threading.Thread(target=work, args=(w,))
+        for _ in range(workers - 1):
+            thread = threading.Thread(target=work)
             thread.start()
             threads.append(thread)
-        work(0)
+        work()
     finally:
         for thread in threads:
             thread.join()
-    # each worker stops at its first failing trial, so the lowest worker's
-    # error is the lowest failing trial's
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    return out
+    if failure:
+        raise failure[0][2]
+    return outs

@@ -80,9 +80,9 @@ def test_03_single_gaussian_variance_identities():
 def test_04_monte_carlo_mean_reproduction():
     spec = ChainSpec(2, 2, (4,))
     n = 1_000_000
-    ci1 = mc_mean(h_samples(sample_single, spec, n, SeedSpec(2026)))
+    ci1 = mc_mean(h_samples([(sample_single, spec, n, SeedSpec(2026))])[0])
     dev1 = abs(ci1.estimate - 1.25) / ci1.std_error
-    ci2 = mc_mean(h_samples(sample_product, spec, n, SeedSpec(2027)))
+    ci2 = mc_mean(h_samples([(sample_product, spec, n, SeedSpec(2027))])[0])
     dev2 = abs(ci2.estimate - 1.9375) / ci2.std_error
     check(
         "4 Monte Carlo mean reproduction",
@@ -94,7 +94,7 @@ def test_04_monte_carlo_mean_reproduction():
 
 def test_05_monte_carlo_variance_reproduction():
     # d1 = 1 leaves the single ensemble unnormalized: a bare 2x2 Gaussian
-    ci = mc_variance(h_samples(sample_single, ChainSpec(2, 2, (1,)), 1_000_000, SeedSpec(2028)))
+    ci = mc_variance(h_samples([(sample_single, ChainSpec(2, 2, (1,)), 1_000_000, SeedSpec(2028))])[0])
     dev = abs(ci.estimate - 976.0) / ci.std_error
     check(
         "5 Monte Carlo variance reproduction",

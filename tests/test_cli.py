@@ -873,6 +873,50 @@ def test_trial_above_the_size_limit_rejected(argv, capsys):
     assert "limit" in err
 
 
+def refuse_the_draw(monkeypatch):
+    """Make the trial engine fail the test if anything calls it."""
+
+    def h_samples(jobs):
+        raise AssertionError("the trials were drawn")
+
+    # distinguisher calls the engine through its own import-time binding
+    for module in (gmprod.sampling, gmprod.distinguisher):
+        monkeypatch.setattr(module, "h_samples", h_samples)
+
+
+def test_refused_sweep_row_draws_nothing(capsys, monkeypatch):
+    # row d = 2e10 is refused; rows d = 4 and d = 1e20 are checked before any is drawn
+    refuse_the_draw(monkeypatch)
+    argv = ["sweep", "--p", "2", "--q", "2", "--d-min", "4", "--d-max", str(10**20),
+            "--steps", "3", "--trials", "10"]
+    code, out, err = run_cli(argv, capsys)
+    assert_refused(code, out, err)
+    assert err == ("gmprod: one trial would draw 80000000000 normals into a 2 x 2 matrix; "
+                   "the limit is 67108864 values per trial\n")
+
+
+SWEEP_GOLDEN = "sweep --p 16 --q 16 --d-min 16 --d-max 4096 --steps 9 --trials 20 --seed 7"
+
+
+@pytest.mark.parametrize("chunk_entries, calls", [(None, 1), (200, 2), (120, 3), (1, 9)])
+def test_sweep_rows_drawn_in_bounded_calls(chunk_entries, calls, capsys, monkeypatch):
+    # 40 values a row: the benchmark-sized sweep is one engine call, and a
+    # smaller stack splits it into calls of max(40, stack) values or fewer,
+    # printing the same bytes
+    if chunk_entries is not None:
+        monkeypatch.setattr(gmprod.sampling, "_CHUNK_ENTRIES", chunk_entries)
+    engine, sizes = gmprod.sampling.h_samples, []
+
+    def h_samples(jobs):
+        sizes.append(sum(n for _, _, n, _ in jobs))
+        return engine(jobs)
+
+    monkeypatch.setattr(gmprod.sampling, "h_samples", h_samples)
+    assert run_cli(SWEEP_GOLDEN.split(), capsys) == (0, PINNED_OUTPUT[SWEEP_GOLDEN], "")
+    assert len(sizes) == calls and sum(sizes) == 9 * 40
+    assert max(sizes) <= max(40, chunk_entries or gmprod.sampling._CHUNK_ENTRIES)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -904,10 +948,7 @@ def test_trial_above_the_size_limit_refused_before_the_exact_moments(argv, capsy
 def test_exact_value_too_large_for_a_float_refused_before_the_draw(argv, field, capsys, monkeypatch):
     # the draw of a 4000-factor chain takes seconds and grows with --trials;
     # the test plan refuses the chain first
-    def draw_h_samples(spec, n, seed):
-        raise AssertionError("the trials were drawn before the test plan")
-
-    monkeypatch.setattr(gmprod.distinguisher, "draw_h_samples", draw_h_samples)
+    refuse_the_draw(monkeypatch)
     code, out, err = run_cli(argv.split(), capsys)
     assert_refused(code, out, err)
     assert err.startswith(f"gmprod: {field} of this chain is about 10^")

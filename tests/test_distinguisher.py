@@ -156,9 +156,9 @@ class TestEmpiricalPower:
         # product trial i on stream 1000 + i, single trial i on 1025 + i
         spec, n, seed = ChainSpec(2, 2, (4,)), 25, SeedSpec(11, 1000)
         hp, hs = draw_h_samples(spec, n, seed)
-        assert np.array_equal(hp, h_samples(sample_product, spec, n, seed))
-        assert np.array_equal(hs, h_samples(sample_single, spec, n, seed.stream(n)))
-        assert not np.array_equal(hs, h_samples(sample_single, spec, n, seed))
+        assert np.array_equal(hp, h_samples([(sample_product, spec, n, seed)])[0])
+        assert np.array_equal(hs, h_samples([(sample_single, spec, n, seed.stream(n))])[0])
+        assert not np.array_equal(hs, h_samples([(sample_single, spec, n, seed)])[0])
 
 
 class TestTvLowerBound:

@@ -1,3 +1,4 @@
+import functools
 import sys
 import threading
 import time
@@ -39,7 +40,7 @@ def scalar_h(ensemble, spec, n, seed):
 
 
 def batch_h(ensemble, spec, n, seed):
-    return h_samples(SAMPLERS[ensemble], spec, n, seed)
+    return h_samples([(SAMPLERS[ensemble], spec, n, seed)])[0]
 
 
 @pytest.mark.parametrize("ensemble", ENSEMBLES)
@@ -92,14 +93,13 @@ def test_one_philox_built_per_call(monkeypatch, three_workers):
     assert len(made) == 1
     # the last trial left the generator inside stream 29
     assert made[0].state["state"]["counter"][2] == 29
-    # on the threaded path, one per worker however many chunks: 37 trials
-    # in chunks of 5 give the three workers blocks 0-11, 12-23 and 24-36
+    # on the threaded path, one per worker however many pieces: 37 trials
+    # in stacks of 5 make eight pieces for the three workers
     made.clear()
     threaded = THREADED[0]
     three_workers(threaded, 5)
     got_threaded = batch_h("product", threaded, 37, seed)
     assert len(made) == 3
-    assert sorted(int(philox.state["state"]["counter"][2]) for philox in made) == [11, 23, 36]
     monkeypatch.undo()
     assert np.array_equal(got, scalar_h("product", spec, 30, seed))
     assert np.array_equal(got_threaded, scalar_h("product", threaded, 37, seed))
@@ -111,11 +111,23 @@ def test_one_philox_built_per_call(monkeypatch, three_workers):
 THREADED = [ChainSpec(4, 4, (512,)), ChainSpec(3, 5, (64, 48, 64)), ChainSpec(8, 8, (2048,))]
 
 
-def recording(sample, seen):
-    """``sample``, adding each thread that calls it to ``seen``."""
+def recording(sample, seen, workers=1):
+    """``sample``, adding each thread that calls it to ``seen``.
 
+    With ``workers`` > 1, a thread's first call waits until that many
+    threads have called, so every one of them is seen drawing, however the
+    pieces fall; the wait times out, and the draw fails, if fewer call.
+    """
+    barrier = threading.Barrier(workers, timeout=10)
+    lock = threading.Lock()
+
+    @functools.wraps(sample)  # the engine still sees which sampler this is
     def recorded(spec, rng):
-        seen.add(threading.current_thread())
+        with lock:
+            first = threading.current_thread() not in seen
+            seen.add(threading.current_thread())
+        if first and workers > 1:
+            barrier.wait()
         return sample(spec, rng)
 
     return recorded
@@ -124,7 +136,7 @@ def recording(sample, seen):
 @pytest.fixture
 def three_workers(monkeypatch):
     """Three workers whatever the machine, and thread switches as often as
-    the interpreter allows; yields a function that sets the trials per chunk."""
+    the interpreter allows; yields a function that sets the trials per stack."""
     monkeypatch.setattr(sampling, "_cpu_count", lambda: 3)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -134,18 +146,25 @@ def three_workers(monkeypatch):
         sys.setswitchinterval(interval)
 
 
+def stream_of(rng) -> int:
+    """The stream a generator handed to a sampler was reset to."""
+    return int(rng.bit_generator.state["state"]["counter"][2])
+
+
 class TestThreads:
     @pytest.mark.parametrize("ensemble", ENSEMBLES)
     @pytest.mark.parametrize("spec", THREADED, ids=str)
     def test_matches_scalar_path(self, three_workers, spec, ensemble):
-        # n = 37 in chunks of 5: the three workers' blocks of 12, 12 and 13
-        # trials run as chunks of 5, 5, 2 / 5, 5, 2 / 5, 5, 3
+        # n = 37 in stacks of 5 (at most 13 trials, ceil(37 / 3), per
+        # piece): seven pieces of 5 and one of 2, pulled by three workers
         three_workers(spec, 5)
+        # each single trial draws only p*q < 2**12 normals, so it is not threaded
+        workers = 3 if ensemble == "product" else 1
         seen = set()
         seed, threads = SeedSpec(20261018, 9), threading.active_count()
-        got = h_samples(recording(SAMPLERS[ensemble], seen), spec, 37, seed)
-        # the calling thread and two new ones, started once per call
-        assert threading.main_thread() in seen and len(seen) == 3
+        got = h_samples([(recording(SAMPLERS[ensemble], seen, workers), spec, 37, seed)])[0]
+        # the calling thread and, when threaded, two new ones started once per call
+        assert threading.main_thread() in seen and len(seen) == workers
         assert threading.active_count() == threads
         assert np.array_equal(got, scalar_h(ensemble, spec, 37, seed))
 
@@ -155,42 +174,54 @@ class TestThreads:
         ids=str,
     )
     def test_threading_rule(self, three_workers, spec, threaded):
-        # parallel from 2**12 normals per trial of the chain, for either ensemble
+        # parallel from 2**12 normals per trial of the job's own sampler: the
+        # product draws the chain's, the single ensemble p*q = 16, never enough
         three_workers(spec, 6)
-        for sample in SAMPLERS.values():
+        for ensemble, workers in (("product", 3 if threaded else 1), ("single", 1)):
             seen = set()
-            h_samples(recording(sample, seen), spec, 6, SeedSpec(1))
+            got = h_samples([(recording(SAMPLERS[ensemble], seen, workers), spec, 6, SeedSpec(1))])[0]
             assert threading.main_thread() in seen
-            assert len(seen) == (3 if threaded else 1)
+            assert len(seen) == workers
+            assert np.array_equal(got, scalar_h(ensemble, spec, 6, SeedSpec(1)))
+
+    def test_single_ensemble_threaded_by_its_own_draw(self, three_workers):
+        # p*q = 2**12: the single ensemble goes parallel, the chain's 128-normal product does not
+        spec = ChainSpec(64, 64, (1,))
+        three_workers(spec, 6)
+        for ensemble, workers in (("single", 3), ("product", 1)):
+            seen = set()
+            got = h_samples([(recording(SAMPLERS[ensemble], seen, workers), spec, 6, SeedSpec(2))])[0]
+            assert len(seen) == workers
+            assert np.array_equal(got, scalar_h(ensemble, spec, 6, SeedSpec(2)))
 
     def test_workers_never_exceed_trials(self, three_workers):
         spec = ChainSpec(4, 4, (512,))
         three_workers(spec, 5)
         seen = set()
-        h_samples(recording(sample_product, seen), spec, 2, SeedSpec(1))
+        h_samples([(recording(sample_product, seen, 2), spec, 2, SeedSpec(1))])
         assert len(seen) == 2
 
     def test_chain_filling_a_stack_alone_stays_on_one_thread(self, three_workers):
-        # draw-heavy, but each chunk holds one trial, as for every chain with
+        # draw-heavy, but each stack holds one trial, as for every chain with
         # p*q > 2**14: threading such chains measured up to 2.4x slower
         spec, seed = THREADED[0], SeedSpec(4, 3)
         three_workers(spec, 1)
         for ensemble, sample in SAMPLERS.items():
             seen = set()
-            got = h_samples(recording(sample, seen), spec, 6, seed)
+            got = h_samples([(recording(sample, seen), spec, 6, seed)])[0]
             assert seen == {threading.main_thread()}
             assert np.array_equal(got, scalar_h(ensemble, spec, 6, seed))
 
     @pytest.mark.parametrize("failure", ["raise", "inf"])
     @pytest.mark.parametrize("failing", [(4, 7), (1, 4, 7)], ids=str)
     def test_lowest_failing_trial_is_raised(self, three_workers, failing, failure):
-        # nine trials on three workers: blocks 0-2 (the calling thread),
-        # 3-5 and 6-8; the lowest failing trial fails last
+        # nine trials on three workers, in pieces 0-2, 3-5 and 6-8; the
+        # lowest failing trial fails last
         spec = ChainSpec(4, 4, (512,))
         three_workers(spec, 9)
 
         def sample(spec, rng):
-            trial = int(rng.bit_generator.state["state"]["counter"][2])
+            trial = stream_of(rng)
             x = sample_product(spec, rng)
             if trial in failing:
                 if trial == failing[0]:
@@ -203,29 +234,146 @@ class TestThreads:
         threads = threading.active_count()
         match = f"trial {failing[0]} failed" if failure == "raise" else "finite"
         with pytest.raises(ValueError, match=match):
-            h_samples(sample, spec, 9, SeedSpec(0))
+            h_samples([(sample, spec, 9, SeedSpec(0))])
         assert threading.active_count() == threads
 
     def test_workers_joined_when_the_calling_thread_fails(self, three_workers):
-        # trial 0 fails at once on the calling thread while the other two
-        # workers are still drawing
+        # the calling thread fails at its first trial while the other two
+        # workers are still drawing; every trial begun has ended on return
         spec = ChainSpec(4, 4, (512,))
         three_workers(spec, 9)
-        finished = []
+        begun, ended = [], []
 
         def sample(spec, rng):
-            trial = int(rng.bit_generator.state["state"]["counter"][2])
-            if trial == 0:
-                raise ValueError("trial 0 failed")
+            if threading.current_thread() is threading.main_thread():
+                raise ValueError("the calling thread failed")
+            begun.append(stream_of(rng))
             time.sleep(0.02)
-            finished.append(trial)
+            ended.append(stream_of(rng))
             return sample_product(spec, rng)
 
         threads = threading.active_count()
-        with pytest.raises(ValueError, match="trial 0 failed"):
-            h_samples(sample, spec, 9, SeedSpec(0))
+        with pytest.raises(ValueError, match="the calling thread failed"):
+            h_samples([(sample, spec, 9, SeedSpec(0))])
         assert threading.active_count() == threads
-        assert sorted(finished) == [3, 4, 5, 6, 7, 8]
+        assert begun and sorted(ended) == sorted(begun)
+
+    @pytest.mark.parametrize(
+        "reverse, error, failing, drawn",
+        [(False, ValueError, 7, 8), (True, ValueError, 17, 18), (True, KeyboardInterrupt, 17, 3)],
+        ids=["in-order", "reversed", "interrupt"],
+    )
+    def test_pieces_past_the_lowest_failure_are_skipped(self, monkeypatch, reverse, error, failing, drawn):
+        # one worker, pieces 0-4, 5-9, 10-14 and 15-19, or the reverse: a
+        # piece that starts after the failing trial is skipped, one below it
+        # still runs, as it may hold a lower failure; an interrupt skips all
+        monkeypatch.setattr(sampling, "_cpu_count", lambda: 1)
+        monkeypatch.setattr(sampling, "_CHUNK_ENTRIES", 5 * 16)
+        if reverse:
+            reverse_pieces(monkeypatch)
+        streams = []
+
+        def sample(spec, rng):
+            streams.append(stream_of(rng))
+            if streams[-1] == failing:
+                raise error(f"trial {failing} failed")
+            return sample_product(spec, rng)
+
+        with pytest.raises(error):
+            h_samples([(sample, ChainSpec(4, 4, (512,)), 20, SeedSpec(0))])
+        assert len(streams) == drawn
+
+
+def reverse_pieces(monkeypatch):
+    """Make ``h_samples`` take its pieces in the reverse of their sorted order."""
+    sorted_pieces = sampling._pieces
+
+    def reversed_pieces(*args):
+        pieces, count, threaded = sorted_pieces(*args)
+        return reversed(list(pieces)), count, threaded
+
+    monkeypatch.setattr(sampling, "_pieces", reversed_pieces)
+
+
+def failing_at(sample, trials, job, seed):
+    """``sample`` for job number ``job``, first stream ``seed``, raising at the given
+    trials with a message naming the job and the trial."""
+
+    def failing(spec, rng):
+        trial = stream_of(rng) - seed.stream_index
+        if trial in trials:
+            time.sleep(0.01)
+            raise ValueError(f"job {job} trial {trial} failed")
+        return sample(spec, rng)
+
+    return failing
+
+
+# Threaded and unthreaded jobs of one call: (4, 4, (512,)) and the closed
+# three-factor chain go parallel, their single ensembles and the small
+# chain do not.
+JOBS = [
+    (sample_product, ChainSpec(4, 4, (512,)), 23, SeedSpec(41, 0)),
+    (sample_single, ChainSpec(4, 4, (512,)), 23, SeedSpec(41, 23)),
+    (sample_product, ChainSpec(2, 2, (4,)), 30, SeedSpec(7, 1000)),
+    (sample_product, ChainSpec(3, 5, (64, 48, 64)), 11, SeedSpec(2**64 - 1, 5)),
+    (sample_single, ChainSpec(3, 5, (64, 48, 64)), 7, SeedSpec(3, 2)),
+]
+
+
+class TestJobs:
+    @pytest.fixture(params=[(1, False), (2, False), (3, False), (1, True), (3, True)],
+                    ids=["1", "2", "3", "1-reversed", "3-reversed"])
+    def schedule(self, request, monkeypatch):
+        """Sets the workers to 1, 2 or 3 and stacks of 5 trials of the 4 x 4
+        chains, optionally reversing the piece order; yields the workers."""
+        workers, reverse = request.param
+        monkeypatch.setattr(sampling, "_cpu_count", lambda: workers)
+        monkeypatch.setattr(sampling, "_CHUNK_ENTRIES", 5 * 16)
+        if reverse:
+            reverse_pieces(monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            yield workers
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_schedule_does_not_change_values(self, schedule):
+        seen, threads = set(), threading.active_count()
+        got = h_samples([(recording(sample, seen), spec, n, seed) for sample, spec, n, seed in JOBS])
+        assert len(seen) <= schedule and threading.active_count() == threads
+        assert len(got) == len(JOBS)
+        ensembles = {sample_product: "product", sample_single: "single"}
+        for values, job in zip(got, JOBS):
+            assert np.array_equal(values, h_samples([job])[0])
+            sample, spec, n, seed = job
+            assert np.array_equal(values, scalar_h(ensembles[sample], spec, n, seed))
+
+    @pytest.mark.parametrize(
+        "failing, raised",
+        [({1: {2}, 0: {20}}, (0, 20)), ({3: {9}, 2: {29}, 4: {0}}, (2, 29)), ({4: {6, 1}}, (4, 1))],
+        ids=str,
+    )
+    def test_lowest_failing_job_and_trial_is_raised(self, schedule, failing, raised):
+        jobs = [(failing_at(sample, failing.get(j, ()), j, seed), spec, n, seed)
+                for j, (sample, spec, n, seed) in enumerate(JOBS)]
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match=f"job {raised[0]} trial {raised[1]} failed"):
+            h_samples(jobs)
+        assert threading.active_count() == threads
+
+    def test_one_philox_per_worker(self, schedule, monkeypatch):
+        made = []
+
+        class RecordingPhilox(np.random.Philox):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(np.random, "Philox", RecordingPhilox)
+        h_samples(JOBS)
+        assert len(made) == schedule
 
 
 class TestSizeCap:
@@ -238,7 +386,7 @@ class TestSizeCap:
         seen = set()
         for sample in SAMPLERS.values():
             with pytest.raises(ValueError, match="limit"):
-                h_samples(recording(sample, seen), spec, 3, SeedSpec(0))
+                h_samples([(recording(sample, seen), spec, 3, SeedSpec(0))])
         assert not seen
 
     def test_boundary(self, monkeypatch):
@@ -280,7 +428,7 @@ class TestChecks:
             return x
 
         with pytest.raises(ValueError, match="finite"):
-            h_samples(sample, ChainSpec(2, 2, (4,)), 5, SeedSpec(0))
+            h_samples([(sample, ChainSpec(2, 2, (4,)), 5, SeedSpec(0))])
 
 
 class TestStreamReset:

@@ -278,7 +278,7 @@ class TestVarianceProductExact:
         n = 20_000
         for k, spec in enumerate(self.DOMINANCE_GRID):
             exact = float(var_h_product_exact(spec))
-            ci = mc_variance(h_samples(sample_product, spec, n, SeedSpec(991, k * n)))
+            ci = mc_variance(h_samples([(sample_product, spec, n, SeedSpec(991, k * n))])[0])
             assert abs(ci.estimate - exact) <= 4 * ci.std_error, \
                 f"{spec}: {ci.estimate:.4f} vs exact {exact:.4f}, SE {ci.std_error:.4f}"
 
@@ -304,8 +304,8 @@ class TestMonteCarloConsistency:
         passing = 0
         for k, spec in enumerate(self.GRID):
             seed = SeedSpec(4242, k * 2 * n)
-            ci_prod = mc_mean(h_samples(sample_product, spec, n, seed))
-            ci_single = mc_mean(h_samples(sample_single, spec, n, seed.stream(n)))
+            ci_prod = mc_mean(h_samples([(sample_product, spec, n, seed)])[0])
+            ci_single = mc_mean(h_samples([(sample_single, spec, n, seed.stream(n))])[0])
             plan = build_test(spec)
             ok_prod = abs(ci_prod.estimate - plan.mu_product) <= 4 * ci_prod.std_error
             ok_single = abs(ci_single.estimate - plan.mu_single) <= 4 * ci_single.std_error

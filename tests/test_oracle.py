@@ -236,8 +236,8 @@ class TestMcMean:
 
     def test_deterministic(self):
         spec = ChainSpec(2, 2, (4,))
-        a = mc_mean(h_samples(sample_single, spec, 500, SeedSpec(1, 10)))
-        b = mc_mean(h_samples(sample_single, spec, 500, SeedSpec(1, 10)))
+        a = mc_mean(h_samples([(sample_single, spec, 500, SeedSpec(1, 10))])[0])
+        b = mc_mean(h_samples([(sample_single, spec, 500, SeedSpec(1, 10))])[0])
         assert a == b
 
     def test_too_few_trials(self):
@@ -249,7 +249,7 @@ class TestMcMean:
     def test_single_ensemble_mean(self):
         # target pq(p+q+1)/d^2 = 20/16 = 1.25 at modest n
         spec = ChainSpec(2, 2, (4,))
-        ci = mc_mean(h_samples(sample_single, spec, 20_000, SeedSpec(88)))
+        ci = mc_mean(h_samples([(sample_single, spec, 20_000, SeedSpec(88))])[0])
         assert abs(ci.estimate - 1.25) <= 4 * ci.std_error
 
 
@@ -265,11 +265,11 @@ class TestMcVariance:
     def test_scalar_fourth_power(self):
         # Var(g^4) = 105 - 9 = 96; h of a 1x1 Gaussian is g^4, and d1 = 1
         # leaves the single ensemble unnormalized
-        ci = mc_variance(h_samples(sample_single, ChainSpec(1, 1, (1,)), 50_000, SeedSpec(404)))
+        ci = mc_variance(h_samples([(sample_single, ChainSpec(1, 1, (1,)), 50_000, SeedSpec(404))])[0])
         assert abs(ci.estimate - 96.0) <= 4 * ci.std_error
 
     def test_unnormalized_gaussian(self):
-        ci = mc_variance(h_samples(sample_single, ChainSpec(2, 2, (1,)), 50_000, SeedSpec(505)))
+        ci = mc_variance(h_samples([(sample_single, ChainSpec(2, 2, (1,)), 50_000, SeedSpec(505))])[0])
         assert abs(ci.estimate - 976.0) <= 4 * ci.std_error
 
     def test_jackknife_matches_batch_spread(self):
@@ -277,9 +277,9 @@ class TestMcVariance:
         # independent-batch variance estimates within a factor of ~2
         spec = ChainSpec(2, 2, (4,))
         n = 4000
-        ci = mc_variance(h_samples(sample_single, spec, n, SeedSpec(9000)))
+        ci = mc_variance(h_samples([(sample_single, spec, n, SeedSpec(9000))])[0])
         batch = [
-            mc_variance(h_samples(sample_single, spec, n, SeedSpec(9000, (k + 1) * n))).estimate
+            mc_variance(h_samples([(sample_single, spec, n, SeedSpec(9000, (k + 1) * n))])[0]).estimate
             for k in range(12)
         ]
         spread = np.std(batch, ddof=1)
@@ -294,7 +294,7 @@ def test_mc_error_shrinks_with_n():
 
     def median_abs_err(n):
         errs = [
-            abs(mc_mean(h_samples(sample_single, spec, n, SeedSpec(1000 + k, 10 * n * k))).estimate
+            abs(mc_mean(h_samples([(sample_single, spec, n, SeedSpec(1000 + k, 10 * n * k))])[0]).estimate
                 - target)
             for k in range(7)
         ]
