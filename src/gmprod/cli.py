@@ -10,9 +10,13 @@ from the environment, and a re-run of the same argv is byte-identical.
 Exit status: 0 success, 2 invalid arguments, 3 exact oracle over budget;
 every error is one ``gmprod:`` line on stderr.
 
-The argument parser is built once, when this module is imported, and
-every ``main`` call in the process parses with it. Importing this module
-loads only the exact-arithmetic modules (``core``, ``moments``,
+The argument parsers are built once, when this module is imported, and
+every ``main`` call in the process parses with them. An argv that starts
+with a subcommand's name goes straight to that subcommand's parser, the
+one the top-level parser would hand it to; any other argv (empty, help,
+an unknown name, an option first) goes to the top-level parser. So each
+argv is parsed once, with the bytes a top-level parse gives. Importing
+this module loads only the exact-arithmetic modules (``core``, ``moments``,
 ``oracle``), so ``oracle`` and a usage error run without numpy;
 ``moments``, ``distinguish`` and ``sweep`` import the test plan and the
 samplers, and with them numpy, when they run. ``csv`` is imported only
@@ -92,6 +96,14 @@ def _frac_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
+def _check_trials(subcommand: str, trials: int) -> None:
+    """Refuse a ``--trials`` below 10, or one whose streams would not fit in 64-bit indices."""
+    if trials < 10:
+        raise ValueError(f"{subcommand} requires at least 10 trials per ensemble")
+    if trials >= 2**64:  # their stream indices, like their values, are out of reach
+        raise ValueError(f"cannot allocate the values of {trials} trials; use fewer trials")
+
+
 def cmd_moments(args):
     from .distinguisher import TV_UPPER_C, build_test
 
@@ -117,8 +129,7 @@ def cmd_distinguish(args):
     from .sampling import SeedSpec, check_trial_size
 
     spec = ChainSpec(args.p, args.q, _parse_inner(args.inner))
-    if args.trials < 10:
-        raise ValueError("distinguish requires at least 10 trials per ensemble")
+    _check_trials("distinguish", args.trials)
     # cheapest refusal first: the size check is a sum over the chain, the exact
     # moments are big-integer work that grows as r**2, the draw grows with --trials
     check_trial_size(spec)
@@ -161,8 +172,7 @@ def cmd_sweep(args):
         raise ValueError(f"d-min {args.d_min} exceeds d-max {args.d_max}")
     if args.steps < 2:
         raise ValueError("sweep needs at least 2 steps")
-    if args.trials < 10:
-        raise ValueError("sweep requires at least 10 trials per ensemble")
+    _check_trials("sweep", args.trials)
     if args.steps > args.d_max - args.d_min + 1:
         raise ValueError(
             f"{args.steps} steps from {args.d_min} to {args.d_max} must repeat a value: the range "
@@ -255,11 +265,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"gmprod: {message}\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The ``gmprod`` argument parser.
+def build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The ``gmprod`` argument parser, and the map from each subcommand's name to its parser.
 
-    Every default is immutable and ``parse_args`` returns a new Namespace
-    without changing the parser, so one parser serves every ``main`` call.
+    The map is the one the top-level parser dispatches on. Every default is
+    immutable and ``parse_args`` returns a new Namespace without changing
+    the parser, so one set of parsers serves every ``main`` call.
     """
     parser = _Parser(
         prog="gmprod",
@@ -300,20 +311,24 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_oracle, ("json",))
     p_oracle.set_defaults(func=cmd_oracle)
 
-    return parser
+    return parser, sub.choices
 
 
-_PARSER = build_parser()
+_PARSER, _SUBPARSERS = build_parsers()
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     # an integer option or an exact integer such as s4 may have more digits than
     # Python (3.10.7 and later) converts by default; lift that cap for the call
     digit_cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if digit_cap:
         sys.set_int_max_str_digits(0)
     try:
-        args = _PARSER.parse_args(argv)
+        # the top-level parser would hand all but the name to the subcommand's
+        # parser; asking that parser directly parses the argv once, not twice
+        subparser = _SUBPARSERS.get(argv[0]) if argv else None
+        args = _PARSER.parse_args(argv) if subparser is None else subparser.parse_args(argv[1:])
         report, csv_header, records = args.func(args)
         text = canonical_json(report) if args.format == "json" else _csv_text(csv_header, records)
     except OracleBudgetError as exc:

@@ -1,4 +1,3 @@
-import argparse
 import contextlib
 import csv
 import io
@@ -10,6 +9,7 @@ import subprocess
 import sys
 from itertools import product
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import gmprod
 from gmprod import cli
-from gmprod.cli import _csv_text, build_parser, canonical_json, main
+from gmprod.cli import _csv_text, canonical_json, main
 from gmprod.oracle import MAX_MONOMIALS
 
 MOMENTS_HEADER = [
@@ -716,8 +716,12 @@ def test_cli_import_footprint():
 
 
 def test_one_parser_serves_every_call():
-    # The parser is built once per process: refusals, then every pinned
+    # The parsers are built once per process: refusals, then every pinned
     # argv, then the refusals again, each with the bytes a first call gives.
+    # The calls, parsed by the top-level parser or by a subcommand's own, leave
+    # the top-level parser and the subcommand map, and each parser in it, as they were.
+    parser, subparsers = cli._PARSER, dict(cli._SUBPARSERS)
+    assert all(p.prog == f"gmprod {name}" for name, p in subparsers.items())
     refused = {tuple(argv): in_fresh_interpreter(argv) for argv in USAGE_ERRORS.values()}
     assert all(code == 2 for code, _, _ in refused.values())
     for argv, expected in refused.items():
@@ -726,6 +730,72 @@ def test_one_parser_serves_every_call():
         assert in_process(argv.split()) == (0, text, "")
     for argv, expected in refused.items():
         assert in_process(list(argv)) == expected
+    assert cli._PARSER is parser and cli._SUBPARSERS.keys() == subparsers.keys()
+    assert all(cli._SUBPARSERS[name] is p for name, p in subparsers.items())
+
+
+def through_the_top_level_parser(argv):
+    """``in_process(argv)`` with ``main`` finding no subcommand in its map, so that
+    ``_PARSER.parse_args`` parses every argv: the reference the direct route must match."""
+    with mock.patch.object(cli, "_SUBPARSERS", {}):
+        return in_process(argv)
+
+
+DIFFERENTIAL_ARGV = [
+    *USAGE_ERRORS.values(),
+    *(argv.split() for argv in PINNED_OUTPUT),
+    [],
+    ["-h"],
+    ["--help"],
+    ["oracle", "-h"],
+    ["sweep", "--help"],
+    ["oracle", "--p", "3", "--q", "4", "--he"],  # an abbreviation of --help
+    ["oracle", "--p=3", "--q", "4"],
+    ["distinguish", "--p", "2", "--q", "2", "--inner", "4", "--tri", "10"],
+    ["sweep", "--p", "2", "--q", "2", "--d", "4", "--d-max", "16", "--steps", "2"],  # ambiguous
+    ["--p", "3", "oracle", "--q", "4"],  # an option before the subcommand
+    ["-h", "oracle"],
+    ["orac", "--p", "3", "--q", "4"],  # subcommand names are not abbreviated
+    ["oracle", "--p", "3", "--q", "4", "extra"],
+    ["oracle", "extra", "--p", "3", "--q", "4"],
+    ["oracle", "--p", "3", "--q", "4", "--", "--p", "5"],
+    ["oracle", "--", "--p", "3", "--q", "4"],
+    ["--", "oracle", "--p", "3", "--q", "4"],
+    ["oracle", "--p", "3", "--p", "2", "--q", "4", "--q", "3"],
+    ["oracle", "--p", "-3", "--q", "4"],
+    ["oracle", "oracle", "--p", "3", "--q", "4"],
+    ["moments", "--p", "2", "--q", "2", "--inner", "4", "--format", "csv", "--format", "json"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv", DIFFERENTIAL_ARGV, ids=[" ".join(argv) or "empty" for argv in DIFFERENTIAL_ARGV]
+)
+def test_subcommand_parser_gives_the_bytes_of_the_top_level_parser(argv):
+    assert in_process(argv) == through_the_top_level_parser(argv)
+
+
+# argv tokens for the generated differential: names, options whole, abbreviated
+# and with "=", help, "--", and values small enough that a parse that succeeds runs fast
+ARGV_TOKEN = st.sampled_from([
+    "moments", "distinguish", "sweep", "oracle", "orac", "swe", "bogus",
+    "-h", "--help", "--he", "--",
+    "--p", "--p=2", "--q", "--q=3", "--inner", "--inner=4", "--inner=2,2", "--in",
+    "--trials", "--tri", "--trials=10", "--seed", "--seed=7", "--format", "--format=csv",
+    "--r", "--d-min", "--d-m", "--d-max=3", "--steps", "--steps=2", "--d", "-p",
+    "1", "2", "3", "10", "-1", "x", "json", "csv",
+])
+SUBCOMMAND_ARGV = st.builds(
+    lambda name, rest: [name, *rest],
+    st.sampled_from(sorted(cli._SUBPARSERS)),
+    st.lists(ARGV_TOKEN, max_size=12),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=st.one_of(SUBCOMMAND_ARGV, st.lists(ARGV_TOKEN, max_size=12)))
+def test_generated_argv_gives_the_bytes_of_the_top_level_parser(argv):
+    assert in_process(argv) == through_the_top_level_parser(argv)
 
 
 @pytest.mark.parametrize(
@@ -767,10 +837,9 @@ def test_readme_lists_the_frozen_csv_columns(subcommand, header):
 
 def test_option_sets_are_pinned():
     # a setting is added or dropped on purpose, with this list
-    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     options = {
         name: {s for action in p._actions for s in action.option_strings if s.startswith("--")}
-        for name, p in subparsers.choices.items()
+        for name, p in cli._SUBPARSERS.items()
     }
     common = {"--help", "--p", "--q", "--seed", "--format", "--out"}
     assert options == {
@@ -998,6 +1067,29 @@ def test_allocation_too_large_refused(argv, capsys):
     if "--r" in argv:
         r = argv[argv.index("--r") + 1]
         assert err.startswith(f"gmprod: --r {r} and --d-min 2 give a chain") and "limit" in err
+
+
+@pytest.mark.parametrize("trials", [2**64 - 1, 2**64])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["distinguish", "--p", "2", "--q", "2", "--inner", "4"],
+        ["sweep", "--p", "2", "--q", "2", "--d-min", "4", "--d-max", "8", "--steps", "2"],
+    ],
+    ids=["distinguish", "sweep"],
+)
+def test_trials_past_64_bit_streams_refused_by_name(argv, trials, capsys, monkeypatch):
+    # 2**64 trials or more have streams past the 64-bit index; they are refused
+    # before any SeedSpec is built, so no message about a stream index names
+    # what the user never typed. 2**64 - 1 trials fail their allocation instead.
+    if trials >= 2**64:
+        def seed_spec(*args):
+            raise AssertionError("a SeedSpec was built")
+
+        monkeypatch.setattr(gmprod.sampling, "SeedSpec", seed_spec)
+    code, out, err = run_cli([*argv, "--trials", str(trials)], capsys)
+    assert_refused(code, out, err)
+    assert err == f"gmprod: cannot allocate the values of {trials} trials; use fewer trials\n"
 
 
 def run_generated(argv):
