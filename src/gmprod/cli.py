@@ -10,6 +10,13 @@ from the environment, and a re-run of the same argv is byte-identical.
 Exit status: 0 success, 2 invalid arguments, 3 exact oracle over budget;
 every error is one ``gmprod:`` line on stderr.
 
+``distinguish`` and ``sweep`` check the options they read (``--trials``
+and ``--seed`` among them, refused by name), build their chains, and
+draw through ``distinguisher.draw_h_samples``: ``distinguish`` as one
+chain, ``sweep`` as one chain per row. That function owns the order in
+which chains are refused, the streams of each ensemble and the grouping
+of chains into engine calls; this module knows none of them.
+
 The argument parsers are built once, when this module is imported, and
 every ``main`` call in the process parses with them. An argv that starts
 with a subcommand's name goes straight to that subcommand's parser, the
@@ -96,12 +103,14 @@ def _frac_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def _check_trials(subcommand: str, trials: int) -> None:
-    """Refuse a ``--trials`` below 10, or one whose streams would not fit in 64-bit indices."""
-    if trials < 10:
+def _check_draw(subcommand: str, args) -> None:
+    """Refuse a ``--trials`` below 10, or ``--trials`` or ``--seed`` past what 64-bit streams hold."""
+    if args.trials < 10:
         raise ValueError(f"{subcommand} requires at least 10 trials per ensemble")
-    if trials >= 2**64:  # their stream indices, like their values, are out of reach
-        raise ValueError(f"cannot allocate the values of {trials} trials; use fewer trials")
+    if args.trials >= 2**64:  # their stream indices, like their values, are out of reach
+        raise ValueError(f"cannot allocate the values of {args.trials} trials; use fewer trials")
+    if not 0 <= args.seed < 2**64:
+        raise ValueError(f"--seed must be from 0 to 2**64 - 1, got {args.seed}")
 
 
 def cmd_moments(args):
@@ -125,16 +134,12 @@ def cmd_moments(args):
 
 
 def cmd_distinguish(args):
-    from .distinguisher import TV_UPPER_C, build_test, draw_h_samples, error_rates
-    from .sampling import SeedSpec, check_trial_size
+    from .distinguisher import TV_UPPER_C, draw_h_samples, error_rates
+    from .sampling import SeedSpec
 
     spec = ChainSpec(args.p, args.q, _parse_inner(args.inner))
-    _check_trials("distinguish", args.trials)
-    # cheapest refusal first: the size check is a sum over the chain, the exact
-    # moments are big-integer work that grows as r**2, the draw grows with --trials
-    check_trial_size(spec)
-    plan = build_test(spec)
-    h_product, h_single = draw_h_samples(spec, args.trials, SeedSpec(args.seed))
+    _check_draw("distinguish", args)
+    ((_, plan, h_product, h_single),) = draw_h_samples([spec], args.trials, SeedSpec(args.seed))
     report = {
         "p": spec.p,
         "q": spec.q,
@@ -156,13 +161,12 @@ def cmd_sweep(args):
 
     from .distinguisher import (
         TV_UPPER_C,
-        _ensemble_jobs,
-        build_test,
+        draw_h_samples,
         error_rates,
         tv_lower_bound_empirical,
         tv_upper_bound,
     )
-    from .sampling import _CHUNK_ENTRIES, _MAX_TRIAL_NORMALS, SeedSpec, check_trial_size, h_samples
+    from .sampling import _MAX_TRIAL_NORMALS, SeedSpec
 
     if args.r < 2:
         raise ValueError("sweep requires at least two factors (--r >= 2)")
@@ -172,7 +176,7 @@ def cmd_sweep(args):
         raise ValueError(f"d-min {args.d_min} exceeds d-max {args.d_max}")
     if args.steps < 2:
         raise ValueError("sweep needs at least 2 steps")
-    _check_trials("sweep", args.trials)
+    _check_draw("sweep", args)
     if args.steps > args.d_max - args.d_min + 1:
         raise ValueError(
             f"{args.steps} steps from {args.d_min} to {args.d_max} must repeat a value: the range "
@@ -200,32 +204,19 @@ def cmd_sweep(args):
             f"draw at least {inner_normals} normals per trial; the limit is {_MAX_TRIAL_NORMALS} "
             "values per trial"
         )
-    # every row is checked before any is drawn, so a refused row draws nothing
-    specs, plans = [], []
-    for d in grid:
-        spec = ChainSpec(args.p, args.q, (d,) * (args.r - 1))
-        check_trial_size(spec)  # in the order of cmd_distinguish: cheapest refusal first
-        specs.append(spec)
-        plans.append(build_test(spec))
-    # consecutive rows share an engine call, holding at most max(2 * trials, _CHUNK_ENTRIES) values
-    per_call = max(1, _CHUNK_ENTRIES // (2 * args.trials))
-    rows = []
-    for start in range(0, len(grid), per_call):
-        group = range(start, min(start + per_call, len(grid)))
-        jobs = []
-        for k in group:
-            jobs += _ensemble_jobs(specs[k], args.trials, SeedSpec(args.seed, k * 2 * args.trials))
-        values = h_samples(jobs)
-        for k, h_product, h_single in zip(group, values[::2], values[1::2]):
-            spec, plan = specs[k], plans[k]
-            rows.append({
-                "d": grid[k],
-                "accuracy": error_rates(h_product, h_single, plan)["accuracy"],
-                "tv_lower_empirical": tv_lower_bound_empirical(h_product, h_single),
-                "tv_upper_c1": tv_upper_bound(spec),
-                "chebyshev_error": plan.chebyshev_error_bound,
-                "mean_gap": plan.mu_product - plan.mu_single,
-            })
+    specs = (ChainSpec(args.p, args.q, (d,) * (args.r - 1)) for d in grid)
+    drawn = draw_h_samples(specs, args.trials, SeedSpec(args.seed))
+    rows = [
+        {
+            "d": d,
+            "accuracy": error_rates(h_product, h_single, plan)["accuracy"],
+            "tv_lower_empirical": tv_lower_bound_empirical(h_product, h_single),
+            "tv_upper_c1": tv_upper_bound(spec),
+            "chebyshev_error": plan.chebyshev_error_bound,
+            "mean_gap": plan.mu_product - plan.mu_single,
+        }
+        for d, (spec, plan, h_product, h_single) in zip(grid, drawn)
+    ]
     report = {
         "p": args.p, "q": args.q, "r": args.r, "trials": args.trials, "seed": args.seed,
         "constants": {"c": TV_UPPER_C},

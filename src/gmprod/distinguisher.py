@@ -3,7 +3,11 @@
 The test thresholds the Schatten-4 statistic at the midpoint of the two
 analytic means, which makes the Chebyshev misclassification bound
 symmetric between the hypotheses: ``build_test`` fixes the rule for a
-chain and ``error_rates`` scores drawn values against it. Neither TV
+chain and ``error_rates`` scores drawn values against it.
+``draw_h_samples`` is the one route from chains to drawn values, for one
+chain or a grid of them: it owns the order in which chains are refused,
+which streams each ensemble of each chain is drawn on, and how chains are
+grouped into calls of the trial engine ``sampling.h_samples``. Neither TV
 estimate is certified: ``tv_upper_bound`` carries a constant that theory
 does not pin, and the Kolmogorov-Smirnov statistic of the drawn values
 estimates a TV lower bound with no correction for sampling noise.
@@ -12,12 +16,13 @@ estimates a TV lower bound with no correction for sampling noise.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
 from .core import ChainSpec, _Record
 from .moments import as_float, mean_h_product_exact, var_h_product_exact
-from .sampling import Job, SeedSpec, h_samples, sample_product, sample_single
+from .sampling import SeedSpec, check_trial_size, h_samples, sample_product, sample_single
 
 # The TV upper bound's multiplier, fixed at 1 as the sweep column name
 # tv_upper_c1 says; every CLI report echoes it under the key "constants".
@@ -70,21 +75,41 @@ def build_test(spec: ChainSpec) -> TestPlan:
     return TestPlan(mu_single, mu_product, threshold, var_single, var_product, bound)
 
 
-def _ensemble_jobs(spec: ChainSpec, n: int, seed: SeedSpec) -> list[Job]:
-    """``h_samples`` jobs of n trials from each ensemble, the product first.
+def draw_h_samples(
+    specs: Iterable[ChainSpec], n: int, seed: SeedSpec
+) -> Iterator[tuple[ChainSpec, TestPlan, np.ndarray, np.ndarray]]:
+    """Yield ``(spec, plan, h_product, h_single)`` for each chain of ``specs``, in order:
+    its test plan and n statistic values from each of its ensembles.
 
-    Product trial i uses stream ``seed.stream_index + i`` and single trial
-    i uses stream ``seed.stream_index + n + i``, so the two batches are
-    independent and any trial order reproduces the same values.
+    Every chain is checked before any is drawn, so a refused chain draws
+    nothing: in chain order, ``check_trial_size`` and then ``build_test``,
+    the cheapest refusal first (the size check is a sum over the chain, the
+    exact moments are big-integer work that grows as r**2, and the draw
+    grows with n). ``specs`` is read one chain at a time, so a chain after a
+    refused one is never built. Chain k's product trial i is on stream
+    ``seed.stream_index + 2kn + i`` and its single trial i on
+    ``seed.stream_index + (2k + 1)n + i``, so the batches are independent
+    and any trial order reproduces the same values. Consecutive chains
+    share one ``h_samples`` call of at most max(2n, ``_CHUNK_ENTRIES``)
+    values, drawn when the first of them is asked for, which bounds the
+    memory of a long list of chains.
     """
-    return [(sample_product, spec, n, seed), (sample_single, spec, n, seed.stream(n))]
+    from .sampling import _CHUNK_ENTRIES  # read per call, as h_samples is: a patched cap reaches it
 
-
-def draw_h_samples(spec: ChainSpec, n: int, seed: SeedSpec) -> tuple[np.ndarray, np.ndarray]:
-    """n statistic values from each ensemble, drawn by one ``h_samples`` call on the streams
-    ``_ensemble_jobs`` assigns."""
-    h_product, h_single = h_samples(_ensemble_jobs(spec, n, seed))
-    return h_product, h_single
+    chains = []
+    for spec in specs:
+        check_trial_size(spec)
+        chains.append((spec, build_test(spec)))
+    per_call = max(1, _CHUNK_ENTRIES // max(1, 2 * n))
+    for start in range(0, len(chains), per_call):
+        group = chains[start : start + per_call]
+        values = h_samples([  # chain k's ensembles e = 0 (product) and 1 (single)
+            (sample, spec, n, seed.stream((2 * k + e) * n))
+            for k, (spec, _) in enumerate(group, start)
+            for e, sample in enumerate((sample_product, sample_single))
+        ])
+        for chain, h_product, h_single in zip(group, values[::2], values[1::2]):
+            yield *chain, h_product, h_single
 
 
 def error_rates(h_product, h_single, plan: TestPlan) -> dict[str, float]:

@@ -214,9 +214,10 @@ def _unwrapped(sample):
     return sample
 
 
-def _pieces(jobs: list[Job], cpus: int) -> tuple[Iterator[tuple[int, int, int]], int, bool]:
+def _pieces(jobs: list[Job], chain_normals: list[int],
+            cpus: int) -> tuple[Iterator[tuple[int, int, int]], int, bool]:
     """The pieces of ``jobs`` as (job, first trial, trials), most normals first, their count,
-    and whether to thread.
+    and whether to thread; ``chain_normals`` holds each job's ``check_trial_size``.
 
     A piece holds at most one stack of trials. A job whose trials draw at
     least ``_PARALLEL_NORMALS`` normals each (p*q for ``sample_single``,
@@ -228,8 +229,7 @@ def _pieces(jobs: list[Job], cpus: int) -> tuple[Iterator[tuple[int, int, int]],
     many one-trial pieces costs no list of them.
     """
     runs, threaded = [], False  # (normals per piece, job, first trial, trials per piece, pieces)
-    for j, (sample, spec, n, _) in enumerate(jobs):
-        normals = check_trial_size(spec)
+    for j, ((sample, spec, n, _), normals) in enumerate(zip(jobs, chain_normals)):
         if _unwrapped(sample) is _unwrapped(sample_single):
             normals = spec.p * spec.q
         size = max(1, min(n, _CHUNK_ENTRIES // (spec.p * spec.q)))
@@ -256,18 +256,18 @@ def h_samples(jobs: list[Job]) -> list[np.ndarray]:
     chain or its n values cannot be allocated; the jobs are checked in
     order. A failing trial raises the lowest failing (job, trial)'s error.
     """
-    outs = []
+    outs, normals = [], []
     for _, spec, n, seed in jobs:
         if n < 1:
             raise ValueError(f"need at least one trial, got {n}")
         seed.stream(n - 1)  # the last trial's stream index must fit in 64 bits
-        check_trial_size(spec)
+        normals.append(check_trial_size(spec))
         try:
             outs.append(np.empty(n))
         except (ValueError, MemoryError):  # numpy's own message names no option
             raise ValueError(f"cannot allocate the values of {n} trials; use fewer trials") from None
     cpus = _cpu_count()
-    pending, count, threaded = _pieces(jobs, cpus)
+    pending, count, threaded = _pieces(jobs, normals, cpus)
     workers = min(cpus, count) if threaded else 1
     lock = threading.Lock()
     failure: list[tuple[int, int, BaseException]] = []  # the lowest failing (job, trial) yet

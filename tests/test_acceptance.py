@@ -13,12 +13,7 @@ import numpy as np
 
 from gmprod.cli import main
 from gmprod.core import ChainSpec
-from gmprod.distinguisher import (
-    build_test,
-    draw_h_samples,
-    error_rates,
-    tv_lower_bound_empirical,
-)
+from gmprod.distinguisher import draw_h_samples, error_rates, tv_lower_bound_empirical
 from gmprod.sampling import h_samples
 from gmprod.moments import closed_form_moments, mean_h_product_exact, var_h_product_exact
 from gmprod.oracle import wick_exact_mean_h, wick_exact_var_h_single
@@ -104,8 +99,8 @@ def test_05_monte_carlo_variance_reproduction():
 
 
 def test_06_distinguishable_regime():
-    spec = ChainSpec(32, 32, (64,))
-    rates = error_rates(*draw_h_samples(spec, 400, SeedSpec(0)), build_test(spec))
+    ((_, plan, hp, hs),) = draw_h_samples([ChainSpec(32, 32, (64,))], 400, SeedSpec(0))
+    rates = error_rates(hp, hs, plan)
     check(
         "6 distinguishable regime",
         rates["accuracy"] >= 0.70,
@@ -115,8 +110,9 @@ def test_06_distinguishable_regime():
 
 def test_07_indistinguishable_regime():
     spec = ChainSpec(8, 8, (2048,))
-    rates = error_rates(*draw_h_samples(spec, 400, SeedSpec(0)), build_test(spec))
-    hp, hs = draw_h_samples(spec, 10_000, SeedSpec(1))
+    ((_, plan, hp, hs),) = draw_h_samples([spec], 400, SeedSpec(0))
+    rates = error_rates(hp, hs, plan)
+    ((_, _, hp, hs),) = draw_h_samples([spec], 10_000, SeedSpec(1))
     tv = tv_lower_bound_empirical(hp, hs)
     check(
         "7 indistinguishable regime",

@@ -980,7 +980,8 @@ def test_sweep_rows_drawn_in_bounded_calls(chunk_entries, calls, capsys, monkeyp
         sizes.append(sum(n for _, _, n, _ in jobs))
         return engine(jobs)
 
-    monkeypatch.setattr(gmprod.sampling, "h_samples", h_samples)
+    # draw_h_samples calls the engine through distinguisher's import-time binding
+    monkeypatch.setattr(gmprod.distinguisher, "h_samples", h_samples)
     assert run_cli(SWEEP_GOLDEN.split(), capsys) == (0, PINNED_OUTPUT[SWEEP_GOLDEN], "")
     assert len(sizes) == calls and sum(sizes) == 9 * 40
     assert max(sizes) <= max(40, chunk_entries or gmprod.sampling._CHUNK_ENTRIES)
@@ -1092,6 +1093,34 @@ def test_trials_past_64_bit_streams_refused_by_name(argv, trials, capsys, monkey
     assert err == f"gmprod: cannot allocate the values of {trials} trials; use fewer trials\n"
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64 - 1, 2**64])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["distinguish", "--p", "2", "--q", "2", "--inner", "4"],
+        ["sweep", "--p", "2", "--q", "2", "--d-min", "4", "--d-max", "8", "--steps", "2"],
+    ],
+    ids=["distinguish", "sweep"],
+)
+def test_seed_outside_64_bits_refused_by_name(argv, seed, capsys, monkeypatch):
+    # a --seed outside [0, 2**64) is refused right after --trials, by the option's
+    # name, before any stream, size check or exact moment is computed for it
+    in_range = 0 <= seed < 2**64
+    if not in_range:
+        def refuse(*args):
+            raise AssertionError("the seed was used before it was checked")
+
+        monkeypatch.setattr(gmprod.sampling, "SeedSpec", refuse)
+        monkeypatch.setattr(gmprod.distinguisher, "check_trial_size", refuse)
+        monkeypatch.setattr(gmprod.distinguisher, "build_test", refuse)
+    code, out, err = run_cli([*argv, "--trials", "10", "--seed", str(seed), "--format", "json"], capsys)
+    if in_range:
+        assert (code, err) == (0, "") and json.loads(out)["seed"] == seed
+    else:
+        assert_refused(code, out, err)
+        assert err == f"gmprod: --seed must be from 0 to 2**64 - 1, got {seed}\n"
+
+
 def run_generated(argv):
     """stdout of ``main(argv)`` if it succeeded, else None once the failure contract holds.
 
@@ -1162,7 +1191,8 @@ def test_moments_contract_holds_for_generated_argv(p, q, inner, closed, fmt):
 # an 8 x 8 chain on the threaded path. The other options stay within
 # their checks (the tests above cover those), so that many examples run.
 SAMPLED_DIMENSION = st.one_of(st.integers(1, 8), st.just(300), st.integers(2**26 + 1, 10**30))
-SEED = st.integers(0, 2**64 - 1)
+# most seeds are in range; the wider range also yields seeds that must be refused
+SEED = st.one_of(st.integers(0, 2**64 - 1), st.integers(-(2**70), 2**70))
 TRIALS = st.integers(10, 30)
 
 
@@ -1181,6 +1211,9 @@ def test_distinguish_contract_holds_for_generated_argv(p, q, inner, closed, tria
         inner[-1] = inner[0]
     argv = ["distinguish", "--p", str(p), "--q", str(q), "--inner", ",".join(map(str, inner)),
             "--trials", str(trials), "--seed", str(seed), "--format", fmt]
+    if not 0 <= seed < 2**64:
+        assert_refused(*in_process(argv))  # exit status 2 and one gmprod: line
+        return
     out = run_generated(argv)
     if out is None:
         return
@@ -1211,6 +1244,9 @@ def test_sweep_contract_holds_for_generated_argv(p, q, r, d_min, d_max, steps, t
     argv = ["sweep", "--p", str(p), "--q", str(q), "--r", str(r), "--d-min", str(d_min),
             "--d-max", str(d_max), "--steps", str(steps), "--trials", str(trials),
             "--seed", str(seed), "--format", fmt]
+    if not 0 <= seed < 2**64:
+        assert_refused(*in_process(argv))  # exit status 2 and one gmprod: line
+        return
     out = run_generated(argv)
     if out is None:
         return

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import gmprod.distinguisher
+import gmprod.sampling
 from gmprod.core import ChainSpec
 from gmprod.distinguisher import (
     TestPlan,
@@ -18,7 +20,8 @@ from gmprod.sampling import SeedSpec, h_samples, sample_product, sample_single
 
 def drawn_rates(spec, n, seed):
     """The error rates ``distinguish`` prints for n draws from each ensemble."""
-    return error_rates(*draw_h_samples(spec, n, seed), build_test(spec))
+    ((_, plan, h_product, h_single),) = draw_h_samples([spec], n, seed)
+    return error_rates(h_product, h_single, plan)
 
 
 def labels(h_values, plan):
@@ -155,10 +158,91 @@ class TestEmpiricalPower:
     def test_product_and_single_batches_are_disjoint_streams(self):
         # product trial i on stream 1000 + i, single trial i on 1025 + i
         spec, n, seed = ChainSpec(2, 2, (4,)), 25, SeedSpec(11, 1000)
-        hp, hs = draw_h_samples(spec, n, seed)
+        ((_, _, hp, hs),) = draw_h_samples([spec], n, seed)
         assert np.array_equal(hp, h_samples([(sample_product, spec, n, seed)])[0])
         assert np.array_equal(hs, h_samples([(sample_single, spec, n, seed.stream(n))])[0])
         assert not np.array_equal(hs, h_samples([(sample_single, spec, n, seed)])[0])
+
+
+# the chains of the benchmark-sized sweep: 16 x 16 over d = 16..4096 in 9 steps
+SWEEP_SPECS = [ChainSpec(16, 16, (d,)) for d in (16, 32, 64, 128, 256, 512, 1024, 2048, 4096)]
+CHAINS = [ChainSpec(2, 2, (4,)), ChainSpec(3, 2, (5, 5)), ChainSpec(2, 3, (6,))]
+
+
+def refuse_the_draw(monkeypatch):
+    """Make the trial engine fail the test if ``draw_h_samples`` calls it."""
+
+    def h_samples(jobs):
+        raise AssertionError("the trials were drawn")
+
+    monkeypatch.setattr(gmprod.distinguisher, "h_samples", h_samples)
+
+
+class TestDrawHSamples:
+    """The one route from chains to drawn values: refusal order, stream layout, engine calls."""
+
+    def test_chain_k_is_drawn_on_streams_2kn_and_2k_plus_1_n(self):
+        n, seed = 12, SeedSpec(5, 300)
+        drawn = list(draw_h_samples(CHAINS, n, seed))
+        assert [spec for spec, *_ in drawn] == CHAINS
+        for k, (spec, plan, hp, hs) in enumerate(drawn):
+            assert plan == build_test(spec)
+            product, single = seed.stream(2 * k * n), seed.stream((2 * k + 1) * n)
+            assert np.array_equal(hp, h_samples([(sample_product, spec, n, product)])[0])
+            assert np.array_equal(hs, h_samples([(sample_single, spec, n, single)])[0])
+
+    def test_one_chain_is_the_first_chain_of_many(self):
+        n, seed = 15, SeedSpec(9)
+        ((spec, plan, hp, hs),) = draw_h_samples(CHAINS[:1], n, seed)
+        first = next(draw_h_samples(CHAINS, n, seed))
+        assert (spec, plan) == first[:2]
+        assert np.array_equal(hp, first[2]) and np.array_equal(hs, first[3])
+
+    @pytest.mark.parametrize(
+        "refused, message",
+        [
+            # 2 * 2**25 + 2**25 * 2 = 2**27 normals per trial
+            (ChainSpec(2, 2, (2**25,)), "limit is 67108864 values per trial"),
+            # within the size limit, but its exact mean overflows a float
+            (ChainSpec(2, 2, (4,) * 4000), "too large for a float"),
+        ],
+        ids=["size", "float-overflow"],
+    )
+    def test_refused_chain_draws_nothing(self, refused, message, monkeypatch):
+        refuse_the_draw(monkeypatch)
+        built = []
+
+        def chains():
+            for spec in (CHAINS[0], refused, CHAINS[1]):
+                built.append(spec)
+                yield spec
+
+        with pytest.raises(ValueError, match=message):
+            list(draw_h_samples(chains(), 10, SeedSpec(0)))
+        assert built == [CHAINS[0], refused]  # the chain after the refused one is never built
+
+    @pytest.mark.parametrize("chunk_entries, calls", [(None, 1), (200, 2), (120, 3), (1, 9)])
+    def test_chains_drawn_in_bounded_calls(self, chunk_entries, calls, monkeypatch):
+        # 40 values a chain: the benchmark-sized sweep is one engine call, and a
+        # smaller stack splits it into calls of max(40, stack) values or fewer,
+        # each made only when its first chain is asked for, with the same values
+        expected = list(draw_h_samples(SWEEP_SPECS, 20, SeedSpec(7)))
+        if chunk_entries is not None:
+            monkeypatch.setattr(gmprod.sampling, "_CHUNK_ENTRIES", chunk_entries)
+        engine, sizes = gmprod.sampling.h_samples, []
+
+        def recording(jobs):
+            sizes.append(sum(n for _, _, n, _ in jobs))
+            return engine(jobs)
+
+        monkeypatch.setattr(gmprod.distinguisher, "h_samples", recording)
+        per_call = -(-len(SWEEP_SPECS) // calls)
+        for k, got in enumerate(draw_h_samples(SWEEP_SPECS, 20, SeedSpec(7))):
+            assert len(sizes) == k // per_call + 1
+            assert got[:2] == expected[k][:2]
+            assert np.array_equal(got[2], expected[k][2]) and np.array_equal(got[3], expected[k][3])
+        assert len(sizes) == calls and sum(sizes) == 9 * 40
+        assert max(sizes) <= max(40, chunk_entries or gmprod.sampling._CHUNK_ENTRIES)
 
 
 class TestTvLowerBound:
@@ -191,7 +275,7 @@ class TestTvLowerBound:
         # every inner dimension >= 100*p*q: the two laws are nearly
         # indistinguishable, so the empirical lower bound stays small
         spec = ChainSpec(2, 2, (400,))
-        hp, hs = draw_h_samples(spec, 10_000, SeedSpec(42))
+        ((_, _, hp, hs),) = draw_h_samples([spec], 10_000, SeedSpec(42))
         assert tv_lower_bound_empirical(hp, hs) <= 0.15
 
 
