@@ -15,16 +15,16 @@ of the time that importing ``gmprod.cli`` would take with it.
 from __future__ import annotations
 
 import operator
-from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:
-    import numpy as np
+# numpy, bound by the first as_matrix call, so that a ChainSpec costs no numpy import
+np = None
 
 
 def as_matrix(x) -> np.ndarray:
     """Coerce ``x`` to a 2-D float64 array with positive dims and finite entries."""
-    import numpy as np  # here, so that a ChainSpec costs no numpy import
-
+    global np
+    if np is None:
+        import numpy as np
     m = np.asarray(x, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")

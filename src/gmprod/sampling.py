@@ -13,9 +13,10 @@ from the generator they are handed. Normal variates come from numpy's
 ziggurat implementation of ``Generator.standard_normal``; outputs are
 bit-reproducible for a pinned numpy version. A two-factor chain draws
 both factors with one fill, scaled once, and multiplies them as views of
-that buffer: the ziggurat fills an array in order, so each factor holds
-the normals a fill of its own shape would have drawn, and the product is
-the one factor-by-factor draws give, bit for bit.
+that buffer with ``np.dot``: the ziggurat fills an array in order, so each
+factor holds the normals a fill of its own shape would have drawn, and
+``np.dot`` calls the same BLAS routine as ``@`` at less cost per call, so
+the product is the one factor-by-factor draws give, bit for bit.
 
 ``h_samples(jobs)`` returns, for each job ``(sample, spec, n, seed)``,
 the statistic h = tr((A^T A)^2) of n trials drawn by the one-trial
@@ -25,10 +26,11 @@ Each job is cut into pieces of contiguous trials, at most one stack of
 alone). Every piece of every job goes to one set of workers, largest
 draw first (Graham's LPT rule): a worker owns a Philox generator and
 pulls the next piece from one shared iterator, resets the generator with
-``stream_rng`` before each trial, checks each trial's matrix by
-``as_matrix`` into one slot of a stack, and then computes the statistic
-as stacked matrix products over the piece, the only place the package
-computes h.
+``stream_rng`` before each trial and checks each trial's matrix with
+``as_matrix``. It then copies the piece's matrices into one stack, which
+must hold p x q matrices (the statistic of a matrix of another shape
+would broadcast), and computes the statistic as stacked matrix products
+over the piece, the only place the package computes h.
 
 A job whose sampler draws at least ``_PARALLEL_NORMALS`` normals per
 trial (p*q for ``sample_single``, the whole chain for any other sampler)
@@ -75,11 +77,6 @@ def _u64_error(name: str, value) -> ValueError:
     return ValueError(f"{name} must be an unsigned 64-bit integer, got {value!r}")
 
 
-def _check_u64(name: str, value) -> None:
-    if not isinstance(value, int) or not 0 <= value < _U64:
-        raise _u64_error(name, value)
-
-
 class SeedSpec(_Record):
     """Identifies one random stream: a master seed plus a trial index."""
 
@@ -87,11 +84,9 @@ class SeedSpec(_Record):
 
     def __init__(self, master_seed: int, stream_index: int = 0):
         for name, value in zip(self.__slots__, (master_seed, stream_index)):
-            # a bool is an int, but no seed; stream_rng need not test for one,
-            # since the index it checks is a sum, which is never a bool
-            if isinstance(value, bool):
+            # a bool is an int, but no seed
+            if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < _U64:
                 raise _u64_error(name, value)
-            _check_u64(name, value)
         object.__setattr__(self, "master_seed", master_seed)
         object.__setattr__(self, "stream_index", stream_index)
 
@@ -116,7 +111,9 @@ def stream_rng(seed: SeedSpec, rng: np.random.Generator, offset: int = 0) -> np.
     if not isinstance(bit_generator, np.random.Philox):
         raise TypeError(f"can only reset a Philox stream, got {type(bit_generator).__name__}")
     index = seed.stream_index + offset
-    _check_u64("stream_index", index)
+    # the SeedSpec check without its bool test: a sum of ints is never a bool
+    if not isinstance(index, int) or not 0 <= index < _U64:
+        raise _u64_error("stream_index", index)
     bit_generator.state = {
         "bit_generator": type(bit_generator).__name__,
         "state": {"counter": (0, 0, index, 0), "key": (seed.master_seed, 0)},
@@ -151,17 +148,20 @@ def sample_product(spec: ChainSpec, rng: np.random.Generator) -> np.ndarray:
     A two-factor chain (r = 2, so inner == (d1,)) scales both factors by
     1/sqrt(d1). It draws its d1 * (p + q) normals with one fill, scales
     them once in place, and multiplies the two factors as reshaped views
-    of that buffer. numpy fills an array in order, so each view holds
-    exactly the normals a fill of its own shape would have drawn, and the
-    product is the same bit for bit. Longer chains draw and scale factor
-    by factor, so they hold one factor's normals at a time.
+    of that buffer with ``np.dot``, the BLAS call of ``@`` at less
+    overhead. numpy fills an array in order, so each view holds exactly
+    the normals a fill of its own shape would have drawn, and the product
+    is the same bit for bit. Longer chains draw and scale factor by
+    factor, so they hold one factor's normals at a time.
     """
-    d1, r, p, q = spec.d1, spec.r, spec.p, spec.q
-    if r == 2:
+    inner, p, q = spec.inner, spec.p, spec.q
+    if len(inner) == 1:
+        d1 = inner[0]
         x = rng.standard_normal(d1 * (p + q))
         x *= 1.0 / math.sqrt(d1)
-        return x[: p * d1].reshape(p, d1) @ x[p * d1 :].reshape(d1, q)
-    dims = (p, *spec.inner, q)
+        return np.dot(x[: p * d1].reshape(p, d1), x[p * d1 :].reshape(d1, q))
+    d1, r = spec.d1, spec.r  # d1 refuses a chain with no inner dimension
+    dims = (p, *inner, q)
     out = None
     for i in range(r):
         w = rng.standard_normal((dims[i], dims[i + 1]))
@@ -251,13 +251,16 @@ def h_samples(jobs: list[Job]) -> list[np.ndarray]:
     """h of the trials of each job ``(sample, spec, n, seed)``: n values of ``sample(spec, rng)``.
 
     Trial i of a job is on stream ``seed.stream_index + i``. Raises
-    ValueError, before drawing anything, when a job has no trial, its last
-    stream index does not fit in 64 bits, ``check_trial_size`` refuses its
-    chain or its n values cannot be allocated; the jobs are checked in
-    order. A failing trial raises the lowest failing (job, trial)'s error.
+    ValueError, before drawing anything, when a job's n is not an int (or
+    is a bool) or is below one, its last stream index does not fit in 64
+    bits, ``check_trial_size`` refuses its chain or its n values cannot be
+    allocated; the jobs are checked in order. A failing trial, or one whose
+    matrix is not p x q, raises the lowest failing (job, trial)'s error.
     """
     outs, normals = [], []
     for _, spec, n, seed in jobs:
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise ValueError(f"the trial count must be an integer, got {n!r}")
         if n < 1:
             raise ValueError(f"need at least one trial, got {n}")
         seed.stream(n - 1)  # the last trial's stream index must fit in 64 bits
@@ -294,13 +297,23 @@ def h_samples(jobs: list[Job]) -> list[np.ndarray]:
                 return
             j, first, m = piece
             sample, spec, _, seed = jobs[j]
-            trial = first
+            shape, trial, mats = (spec.p, spec.q), first, []
             try:
-                stack = np.empty((m, spec.p, spec.q))
                 for trial in range(first, first + m):
-                    stack[trial - first] = as_matrix(sample(spec, stream_rng(seed, rng, trial)))
+                    mats.append(as_matrix(sample(spec, stream_rng(seed, rng, trial))))
+                stack = np.array(mats)  # raises ValueError on mixed shapes
+                if stack.shape[1:] != shape:
+                    raise ValueError  # replaced below by the first wrong shape's error
                 outs[j][first : first + m] = _stacked_h(stack)
             except Exception as exc:
+                # a matrix of the wrong shape is the piece's first failure: every
+                # trial before the one that raised returned a checked matrix
+                for k, mat in enumerate(mats):
+                    if mat.shape != shape:
+                        trial, exc = first + k, ValueError(
+                            f"the sampler returned a {mat.shape[0]} x {mat.shape[1]} matrix "
+                            f"for a {shape[0]} x {shape[1]} chain")
+                        break
                 fail(j, trial, exc)
             except BaseException as exc:  # an interrupt: skip every piece not yet started
                 fail(-1, -1, exc)

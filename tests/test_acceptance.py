@@ -10,6 +10,7 @@ import math
 from itertools import product
 
 import numpy as np
+import pytest
 
 from gmprod.cli import main
 from gmprod.core import ChainSpec
@@ -72,6 +73,7 @@ def test_03_single_gaussian_variance_identities():
     check("3 variance identities + Wick enumeration", ok, "p,q <= 20 exact; Wick at p,q <= 2")
 
 
+@pytest.mark.slow
 def test_04_monte_carlo_mean_reproduction():
     spec = ChainSpec(2, 2, (4,))
     n = 1_000_000
@@ -87,6 +89,7 @@ def test_04_monte_carlo_mean_reproduction():
     )
 
 
+@pytest.mark.slow
 def test_05_monte_carlo_variance_reproduction():
     # d1 = 1 leaves the single ensemble unnormalized: a bare 2x2 Gaussian
     ci = mc_variance(h_samples([(sample_single, ChainSpec(2, 2, (1,)), 1_000_000, SeedSpec(2028))])[0])

@@ -212,11 +212,11 @@ class TestThreads:
             assert seen == {threading.main_thread()}
             assert np.array_equal(got, scalar_h(ensemble, spec, 6, seed))
 
-    @pytest.mark.parametrize("failure", ["raise", "inf"])
+    @pytest.mark.parametrize("failure", ["raise", "inf", "shape"])
     @pytest.mark.parametrize("failing", [(4, 7), (1, 4, 7)], ids=str)
     def test_lowest_failing_trial_is_raised(self, three_workers, failing, failure):
         # nine trials on three workers, in pieces 0-2, 3-5 and 6-8; the
-        # lowest failing trial fails last
+        # lowest failing trial fails last; a wrong shape names its trial
         spec = ChainSpec(4, 4, (512,))
         three_workers(spec, 9)
 
@@ -228,11 +228,14 @@ class TestThreads:
                     time.sleep(0.05)
                 if failure == "raise":
                     raise ValueError(f"trial {trial} failed")
+                if failure == "shape":
+                    return np.ones((1, trial))
                 x[0, 0] = np.inf
             return x
 
         threads = threading.active_count()
-        match = f"trial {failing[0]} failed" if failure == "raise" else "finite"
+        match = {"raise": f"trial {failing[0]} failed", "inf": "finite",
+                 "shape": f"returned a 1 x {failing[0]} matrix for a 4 x 4 chain"}[failure]
         with pytest.raises(ValueError, match=match):
             h_samples([(sample, spec, 9, SeedSpec(0))])
         assert threading.active_count() == threads
@@ -408,10 +411,52 @@ class TestChecks:
         with pytest.raises(ValueError):
             batch_h("single", ChainSpec(2, 2), 5, SeedSpec(0))
 
-    @pytest.mark.parametrize("n", [0, -1])
+    @pytest.mark.parametrize("n", [0, -1, 2.0, 1.5, True, False, np.int64(3), "3"], ids=repr)
     def test_needs_a_trial(self, n):
-        with pytest.raises(ValueError):
-            batch_h("single", ChainSpec(2, 2, (4,)), n, SeedSpec(0))
+        # only an int that is not a bool is a trial count
+        match, seen = "at least one trial" if type(n) is int else "trial count", set()
+        for sample in SAMPLERS.values():
+            with pytest.raises(ValueError, match=match):
+                h_samples([(recording(sample, seen), ChainSpec(2, 2, (4,)), n, SeedSpec(0))])
+        assert not seen
+
+    def test_trial_count_checked_in_job_order(self):
+        # each job is checked in turn, before any job draws
+        seen, spec, large = set(), ChainSpec(2, 2, (4,)), ChainSpec(2, 2, (2**25,))
+        sample = recording(sample_product, seen)
+        with pytest.raises(ValueError, match="trial count"):
+            h_samples([(sample, spec, 3, SeedSpec(0)), (sample, spec, 2.0, SeedSpec(0)),
+                       (sample, large, 3, SeedSpec(0))])
+        with pytest.raises(ValueError, match="limit"):
+            h_samples([(sample, large, 3, SeedSpec(0)), (sample, spec, 2.0, SeedSpec(0))])
+        assert not seen
+
+    @pytest.mark.parametrize("wrong", [(1, 1), (1, 2), (2, 3)], ids=str)
+    @pytest.mark.parametrize("trials", [None, {3}], ids=["every-trial", "trial-3"])
+    def test_wrong_shape_refused(self, wrong, trials):
+        # a matrix the chain's p x q cannot hold would otherwise broadcast
+        def sample(spec, rng):
+            x = sample_product(spec, rng)
+            return np.ones(wrong) if trials is None or stream_of(rng) in trials else x
+
+        with pytest.raises(ValueError, match=f"returned a {wrong[0]} x {wrong[1]} matrix for a 3 x 2 chain"):
+            h_samples([(sample, ChainSpec(3, 2, (4,)), 5, SeedSpec(0))])
+
+    @pytest.mark.parametrize(
+        "shaped, raised, match",
+        [(2, 4, "returned a 1 x 2 matrix"), (4, 2, "trial 2 failed"), (2, 2, "trial 2 failed")],
+    )
+    def test_first_failure_in_a_piece_is_raised(self, shaped, raised, match):
+        # six trials of one piece on the calling thread: a wrong shape is
+        # found when the piece is stacked, yet it wins over a later raise
+        def sample(spec, rng):
+            trial = stream_of(rng)
+            if trial == raised:
+                raise ValueError(f"trial {trial} failed")
+            return np.ones((1, 2)) if trial == shaped else sample_product(spec, rng)
+
+        with pytest.raises(ValueError, match=match):
+            h_samples([(sample, ChainSpec(2, 2, (4,)), 6, SeedSpec(0))])
 
     def test_stream_index_overflow(self):
         with pytest.raises(ValueError, match="64-bit"):

@@ -299,6 +299,7 @@ class TestMonteCarloConsistency:
         ChainSpec(4, 2, (6, 6)),
     ]
 
+    @pytest.mark.slow
     def test_means_match_on_grid(self):
         n = 100_000
         passing = 0

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import philox_stream
+from test_engine import SPECS
 from gmprod.core import ChainSpec
 from gmprod.sampling import SeedSpec, sample_product, sample_single, stream_rng
 
@@ -194,6 +195,18 @@ def test_product_matches_per_factor_reference(spec, master_seed, stream_index):
     # one fill with views (r = 2) and per-factor fills (longer chains)
     # both replay the per-factor draws bit for bit
     seed = SeedSpec(master_seed, stream_index)
+    assert np.array_equal(sample_product(spec, philox_stream(seed)), reference_product(spec, seed))
+
+
+@pytest.mark.parametrize("seed", [SeedSpec(0), SeedSpec(2**64 - 1, 2**40)], ids=str)
+@pytest.mark.parametrize(
+    "spec",
+    [*(spec for spec in SPECS if spec.r == 2), ChainSpec(1, 64, (64,)), ChainSpec(64, 1, (3,))],
+    ids=str,
+)
+def test_two_factor_product_matches_reference_at_workload_sizes(spec, seed):
+    # the one-fill product is multiplied by another routine than the
+    # reference's ``@``; both must give the same bits at the sizes drawn
     assert np.array_equal(sample_product(spec, philox_stream(seed)), reference_product(spec, seed))
 
 
