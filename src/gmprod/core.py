@@ -20,16 +20,14 @@ import operator
 np = None
 
 
-def as_matrix(x) -> np.ndarray:
-    """Coerce ``x`` to a 2-D float64 array with positive dims and finite entries."""
+def as_matrix(x, shape: tuple[int, int]) -> np.ndarray:
+    """Coerce ``x`` to a float64 array of ``shape``, a chain's ``(p, q)``, with finite entries."""
     global np
     if np is None:
         import numpy as np
     m = np.asarray(x, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    if m.shape[0] < 1 or m.shape[1] < 1:
-        raise ValueError(f"matrix dimensions must be positive, got {m.shape}")
+    if m.shape != shape:
+        raise ValueError(f"expected a {shape[0]} x {shape[1]} matrix, got shape {m.shape}")
     # counting the finite entries is exact and sets no floating-point flag;
     # a sum of the entries would warn when finite entries overflow it
     if np.count_nonzero(np.isfinite(m)) != m.size:

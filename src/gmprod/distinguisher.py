@@ -22,7 +22,8 @@ import numpy as np
 
 from .core import ChainSpec, _Record
 from .moments import as_float, mean_h_product_exact, var_h_product_exact
-from .sampling import SeedSpec, check_trial_size, h_samples, sample_product, sample_single
+from .sampling import (SeedSpec, check_trial_count, check_trial_size, h_samples, sample_product,
+                       sample_single)
 
 # The TV upper bound's multiplier, fixed at 1 as the sweep column name
 # tv_upper_c1 says; every CLI report echoes it under the key "constants".
@@ -81,9 +82,10 @@ def draw_h_samples(
     """Yield ``(spec, plan, h_product, h_single)`` for each chain of ``specs``, in order:
     its test plan and n statistic values from each of its ensembles.
 
-    Every chain is checked before any is drawn, so a refused chain draws
-    nothing: in chain order, ``check_trial_size`` and then ``build_test``,
-    the cheapest refusal first (the size check is a sum over the chain, the
+    ``check_trial_count`` refuses a bad n before anything else. Every chain
+    is then checked before any is drawn, so a refused chain draws nothing:
+    in chain order, ``check_trial_size`` and then ``build_test``, the
+    cheapest refusal first (the size check is a sum over the chain, the
     exact moments are big-integer work that grows as r**2, and the draw
     grows with n). ``specs`` is read one chain at a time, so a chain after a
     refused one is never built. Chain k's product trial i is on stream
@@ -92,15 +94,21 @@ def draw_h_samples(
     and any trial order reproduces the same values. Consecutive chains
     share one ``h_samples`` call of at most max(2n, ``_CHUNK_ENTRIES``)
     values, drawn when the first of them is asked for, which bounds the
-    memory of a long list of chains.
+    memory of a long list of chains. That call checks that its streams fit
+    in 64 bits, so a chain whose streams do not is refused only when its
+    call is drawn, after the chains of earlier calls have been yielded.
+    Checking every chain's streams up front would refuse n = 2**64 - 1 for
+    its single ensemble's streams before ``h_samples`` refuses to allocate
+    its product values, the refusal the CLI gives for ``--trials 2**64-1``.
     """
     from .sampling import _CHUNK_ENTRIES  # read per call, as h_samples is: a patched cap reaches it
 
+    check_trial_count(n)
     chains = []
     for spec in specs:
         check_trial_size(spec)
         chains.append((spec, build_test(spec)))
-    per_call = max(1, _CHUNK_ENTRIES // max(1, 2 * n))
+    per_call = max(1, _CHUNK_ENTRIES // (2 * n))
     for start in range(0, len(chains), per_call):
         group = chains[start : start + per_call]
         values = h_samples([  # chain k's ensembles e = 0 (product) and 1 (single)
@@ -112,16 +120,26 @@ def draw_h_samples(
             yield *chain, h_product, h_single
 
 
+def _nonempty(xs, ys) -> tuple[np.ndarray, np.ndarray]:
+    """Both samples as flat float arrays; raises ValueError if either is empty."""
+    xs, ys = np.asarray(xs, dtype=float).ravel(), np.asarray(ys, dtype=float).ravel()
+    if xs.size == 0 or ys.size == 0:
+        raise ValueError("both samples must be nonempty")
+    return xs, ys
+
+
 def error_rates(h_product, h_single, plan: TestPlan) -> dict[str, float]:
     """Error rates of the threshold test on drawn statistic values, by report key.
 
     A value is labeled "product" iff it exceeds the threshold, so exact
     ties go to "single". A false positive is a single-ensemble draw
     labeled "product"; a false negative is a product draw labeled
-    "single". Accuracy balances the two hypotheses equally.
+    "single". Accuracy balances the two hypotheses equally. An empty
+    sample has no rate and raises ValueError.
     """
-    fnr = float((~(np.asarray(h_product, dtype=float) > plan.threshold)).mean())
-    fpr = float((np.asarray(h_single, dtype=float) > plan.threshold).mean())
+    h_product, h_single = _nonempty(h_product, h_single)
+    fnr = float((~(h_product > plan.threshold)).mean())
+    fpr = float((h_single > plan.threshold).mean())
     return {
         "accuracy": 1.0 - (fpr + fnr) / 2.0,
         "false_positive_rate": fpr,
@@ -136,10 +154,7 @@ def tv_lower_bound_empirical(xs, ys) -> float:
     this estimates a lower bound on the TV distance of the underlying
     matrix laws. Evaluated exactly over all sample points.
     """
-    xs = np.sort(np.asarray(xs, dtype=float).ravel())
-    ys = np.sort(np.asarray(ys, dtype=float).ravel())
-    if xs.size == 0 or ys.size == 0:
-        raise ValueError("both samples must be nonempty")
+    xs, ys = map(np.sort, _nonempty(xs, ys))
     grid = np.concatenate([xs, ys])
     fx = np.searchsorted(xs, grid, side="right") / xs.size
     fy = np.searchsorted(ys, grid, side="right") / ys.size

@@ -27,10 +27,10 @@ alone). Every piece of every job goes to one set of workers, largest
 draw first (Graham's LPT rule): a worker owns a Philox generator and
 pulls the next piece from one shared iterator, resets the generator with
 ``stream_rng`` before each trial and checks each trial's matrix with
-``as_matrix``. It then copies the piece's matrices into one stack, which
-must hold p x q matrices (the statistic of a matrix of another shape
-would broadcast), and computes the statistic as stacked matrix products
-over the piece, the only place the package computes h.
+``as_matrix``, which refuses one that is not p x q (the statistic of a
+matrix of another shape would broadcast). It then copies the piece's
+matrices into one stack and computes the statistic as stacked matrix
+products over the piece, the only place the package computes h.
 
 A job whose sampler draws at least ``_PARALLEL_NORMALS`` normals per
 trial (p*q for ``sample_single``, the whole chain for any other sampler)
@@ -203,6 +203,14 @@ def check_trial_size(spec: ChainSpec) -> int:
     return normals
 
 
+def check_trial_count(n) -> None:
+    """Raise ValueError unless ``n`` is an int (not a bool) of at least one."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"the trial count must be an integer, got {n!r}")
+    if n < 1:
+        raise ValueError(f"need at least one trial, got {n}")
+
+
 # one batch of trials for ``h_samples``: (sampler, chain, trials, first trial's stream)
 Job = tuple[Callable[[ChainSpec, np.random.Generator], np.ndarray], ChainSpec, int, SeedSpec]
 
@@ -251,18 +259,15 @@ def h_samples(jobs: list[Job]) -> list[np.ndarray]:
     """h of the trials of each job ``(sample, spec, n, seed)``: n values of ``sample(spec, rng)``.
 
     Trial i of a job is on stream ``seed.stream_index + i``. Raises
-    ValueError, before drawing anything, when a job's n is not an int (or
-    is a bool) or is below one, its last stream index does not fit in 64
-    bits, ``check_trial_size`` refuses its chain or its n values cannot be
+    ValueError, before drawing anything, when ``check_trial_count`` refuses
+    a job's n, its last stream index does not fit in 64 bits,
+    ``check_trial_size`` refuses its chain or its n values cannot be
     allocated; the jobs are checked in order. A failing trial, or one whose
-    matrix is not p x q, raises the lowest failing (job, trial)'s error.
+    matrix ``as_matrix`` refuses, raises the lowest failing (job, trial)'s error.
     """
     outs, normals = [], []
     for _, spec, n, seed in jobs:
-        if not isinstance(n, int) or isinstance(n, bool):
-            raise ValueError(f"the trial count must be an integer, got {n!r}")
-        if n < 1:
-            raise ValueError(f"need at least one trial, got {n}")
+        check_trial_count(n)
         seed.stream(n - 1)  # the last trial's stream index must fit in 64 bits
         normals.append(check_trial_size(spec))
         try:
@@ -300,20 +305,9 @@ def h_samples(jobs: list[Job]) -> list[np.ndarray]:
             shape, trial, mats = (spec.p, spec.q), first, []
             try:
                 for trial in range(first, first + m):
-                    mats.append(as_matrix(sample(spec, stream_rng(seed, rng, trial))))
-                stack = np.array(mats)  # raises ValueError on mixed shapes
-                if stack.shape[1:] != shape:
-                    raise ValueError  # replaced below by the first wrong shape's error
-                outs[j][first : first + m] = _stacked_h(stack)
+                    mats.append(as_matrix(sample(spec, stream_rng(seed, rng, trial)), shape))
+                outs[j][first : first + m] = _stacked_h(np.array(mats))
             except Exception as exc:
-                # a matrix of the wrong shape is the piece's first failure: every
-                # trial before the one that raised returned a checked matrix
-                for k, mat in enumerate(mats):
-                    if mat.shape != shape:
-                        trial, exc = first + k, ValueError(
-                            f"the sampler returned a {mat.shape[0]} x {mat.shape[1]} matrix "
-                            f"for a {shape[0]} x {shape[1]} chain")
-                        break
                 fail(j, trial, exc)
             except BaseException as exc:  # an interrupt: skip every piece not yet started
                 fail(-1, -1, exc)

@@ -702,7 +702,7 @@ print(json.dumps(stages))
 
 def test_cli_import_footprint():
     # the records are slots classes, not dataclasses (whose import loads inspect),
-    # and csv is imported only when CSV is written
+    # and CSV is written by joining fields, so csv is never imported
     argvs = [["oracle", "--p", "3", "--q", "4"], USAGE_ERRORS["not-an-int"]]
     done = subprocess.run(
         [sys.executable, "-c", _FOOTPRINT_PROBE, json.dumps(argvs)],
@@ -713,6 +713,37 @@ def test_cli_import_footprint():
     assert stages[:3] == [["import gmprod.cli", []], ["oracle: exit 0", []], ["moments: exit 2", []]]
     assert stages[3][0] == "numpy modules" and "numpy" in stages[3][1]
     assert "dataclasses" not in stages[3][1]
+
+
+# what a report field can hold: an int (past 4300 digits, under a lifted cap),
+# a finite float, or an inner-dimension list, the empty one included
+CSV_VALUE = st.one_of(
+    st.integers(),
+    st.integers(10**4300, 10**4400),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.lists(st.integers(1, 10**30), max_size=4),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    header=st.sampled_from([MOMENTS_HEADER, DISTINGUISH_HEADER, SWEEP_HEADER]),
+    values=st.lists(st.lists(CSV_VALUE, min_size=13, max_size=13), max_size=4),
+)
+def check_csv_text_matches_csv_writer(header, values):
+    records = [dict(zip(header, row)) for row in values]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([cli._csv_field(record[k]) for k in header] for record in records)
+    assert _csv_text(header, records) == buf.getvalue()
+
+
+def test_csv_text_matches_csv_writer():
+    # joining the fields gives the bytes csv.writer gives, with no quoting; the
+    # cap is lifted around the whole search, so hypothesis can print a big int
+    with no_int_digit_cap():
+        check_csv_text_matches_csv_writer()
 
 
 def test_one_parser_serves_every_call():

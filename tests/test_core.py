@@ -17,31 +17,33 @@ from gmprod.sampling import SeedSpec, sample_product, sample_single
     ids=["finite", "sum-overflows", "sum-overflows-negative"],
 )
 def test_as_matrix_accepts_finite(x):
-    # finite entries pass, also where their sum would overflow, and come
-    # back unchanged without a floating-point warning
+    # finite entries of the asked shape pass, also where their sum would
+    # overflow, and come back unchanged without a floating-point warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        m = as_matrix(x)
+        m = as_matrix(x, np.shape(x))
     assert m.dtype == np.float64
     assert np.array_equal(m, np.array(x))
 
 
 @pytest.mark.parametrize(
-    "x, message",
+    "x, shape, message",
     [
-        ([1.0, 2.0], "expected a 2-D matrix, got ndim=1"),
-        (np.zeros((0, 3)), r"matrix dimensions must be positive, got \(0, 3\)"),
-        ([[np.inf, -np.inf]], "matrix entries must be finite"),  # their sum is nan
-        ([[np.nan, 0.0]], "matrix entries must be finite"),
-        ([[0.0, -np.inf]], "matrix entries must be finite"),
+        ([1.0, 2.0], (1, 2), r"expected a 1 x 2 matrix, got shape \(2,\)"),
+        (np.zeros((0, 3)), (1, 3), r"expected a 1 x 3 matrix, got shape \(0, 3\)"),
+        (np.zeros((2, 3)), (3, 2), r"expected a 3 x 2 matrix, got shape \(2, 3\)"),
+        (np.zeros((1, 3, 2)), (3, 2), r"expected a 3 x 2 matrix, got shape \(1, 3, 2\)"),
+        ([[np.inf, -np.inf]], (1, 2), "matrix entries must be finite"),  # their sum is nan
+        ([[np.nan, 0.0]], (1, 2), "matrix entries must be finite"),
+        ([[0.0, -np.inf]], (1, 2), "matrix entries must be finite"),
     ],
-    ids=["1-d", "empty", "inf-minus-inf", "nan", "minus-inf"],
+    ids=["1-d", "empty", "transposed", "3-d", "inf-minus-inf", "nan", "minus-inf"],
 )
-def test_as_matrix_refuses(x, message):
+def test_as_matrix_refuses(x, shape, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=message):
-            as_matrix(x)
+            as_matrix(x, shape)
 
 
 class TestChainSpec:

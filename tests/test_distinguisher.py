@@ -76,6 +76,13 @@ class TestClassify:
         rates = error_rates(values, values, self.PLAN)
         assert (rates["false_negative_rate"], rates["false_positive_rate"]) == (2 / 3, 1 / 3)
 
+    @pytest.mark.parametrize("h_product, h_single", [([], [1.0]), ([1.0], []), ([], [])],
+                             ids=["no-product", "no-single", "neither"])
+    def test_empty_sample_refused(self, h_product, h_single):
+        # an empty sample has no rate: refused as the KS statistic refuses it, never NaN
+        with pytest.raises(ValueError, match="both samples must be nonempty"):
+            error_rates(h_product, h_single, self.PLAN)
+
     def test_scale_consistency(self):
         # scoring c^4-scaled values against a c^4-scaled plan gives
         # identical rates
@@ -220,6 +227,24 @@ class TestDrawHSamples:
         with pytest.raises(ValueError, match=message):
             list(draw_h_samples(chains(), 10, SeedSpec(0)))
         assert built == [CHAINS[0], refused]  # the chain after the refused one is never built
+
+    @pytest.mark.parametrize(
+        "n, message",
+        [(2.0, "the trial count must be an integer, got 2.0"),
+         (True, "the trial count must be an integer, got True"),
+         (0, "need at least one trial, got 0")],
+        ids=["2.0", "True", "0"],
+    )
+    def test_trial_count_refused_first(self, n, message, monkeypatch):
+        # h_samples's own refusal, before any chain is read, planned or drawn
+        refuse_the_draw(monkeypatch)
+
+        def chains():
+            raise AssertionError("a chain was read")
+            yield
+
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            list(draw_h_samples(chains(), n, SeedSpec(0)))
 
     @pytest.mark.parametrize("chunk_entries, calls", [(None, 1), (200, 2), (120, 3), (1, 9)])
     def test_chains_drawn_in_bounded_calls(self, chunk_entries, calls, monkeypatch):

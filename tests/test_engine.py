@@ -216,7 +216,7 @@ class TestThreads:
     @pytest.mark.parametrize("failing", [(4, 7), (1, 4, 7)], ids=str)
     def test_lowest_failing_trial_is_raised(self, three_workers, failing, failure):
         # nine trials on three workers, in pieces 0-2, 3-5 and 6-8; the
-        # lowest failing trial fails last; a wrong shape names its trial
+        # lowest failing trial fails last; a wrong shape names its own
         spec = ChainSpec(4, 4, (512,))
         three_workers(spec, 9)
 
@@ -235,7 +235,7 @@ class TestThreads:
 
         threads = threading.active_count()
         match = {"raise": f"trial {failing[0]} failed", "inf": "finite",
-                 "shape": f"returned a 1 x {failing[0]} matrix for a 4 x 4 chain"}[failure]
+                 "shape": rf"expected a 4 x 4 matrix, got shape \(1, {failing[0]}\)"}[failure]
         with pytest.raises(ValueError, match=match):
             h_samples([(sample, spec, 9, SeedSpec(0))])
         assert threading.active_count() == threads
@@ -439,16 +439,22 @@ class TestChecks:
             x = sample_product(spec, rng)
             return np.ones(wrong) if trials is None or stream_of(rng) in trials else x
 
-        with pytest.raises(ValueError, match=f"returned a {wrong[0]} x {wrong[1]} matrix for a 3 x 2 chain"):
+        match = rf"expected a 3 x 2 matrix, got shape \({wrong[0]}, {wrong[1]}\)"
+        with pytest.raises(ValueError, match=match):
             h_samples([(sample, ChainSpec(3, 2, (4,)), 5, SeedSpec(0))])
 
     @pytest.mark.parametrize(
         "shaped, raised, match",
-        [(2, 4, "returned a 1 x 2 matrix"), (4, 2, "trial 2 failed"), (2, 2, "trial 2 failed")],
+        [
+            (2, 4, r"expected a 2 x 2 matrix, got shape \(1, 2\)"),
+            (4, 2, "trial 2 failed"),
+            (2, 2, "trial 2 failed"),
+        ],
+        ids=["shape-first", "raise-first", "same-trial"],
     )
     def test_first_failure_in_a_piece_is_raised(self, shaped, raised, match):
         # six trials of one piece on the calling thread: a wrong shape is
-        # found when the piece is stacked, yet it wins over a later raise
+        # refused at its own trial, so it wins over a later raise
         def sample(spec, rng):
             trial = stream_of(rng)
             if trial == raised:
