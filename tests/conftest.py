@@ -20,6 +20,15 @@ def philox_stream(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 
+def bits(x) -> np.ndarray:
+    """The float64 entries of ``x`` as their 64-bit patterns.
+
+    ``np.array_equal`` of these compares bit for bit: it tells -0.0 from
+    0.0, which ``np.array_equal`` of the values does not.
+    """
+    return np.ascontiguousarray(x, dtype=np.float64).view(np.uint64)
+
+
 def stat_h(x) -> float:
     """h = tr((X^T X)^2) of one matrix: the reference the trial engine must match bit for bit.
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import philox_stream, random_orthogonal, stat_h
+from conftest import bits, philox_stream, random_orthogonal, stat_h
 from gmprod import sampling
 from gmprod.core import ChainSpec
 from gmprod.sampling import _stacked_h, h_samples
@@ -245,12 +245,16 @@ class TestThreads:
         # workers are still drawing; every trial begun has ended on return
         spec = ChainSpec(4, 4, (512,))
         three_workers(spec, 9)
-        begun, ended = [], []
+        begun, ended, drawing = [], [], threading.Event()
 
         def sample(spec, rng):
             if threading.current_thread() is threading.main_thread():
+                # fail only once another worker has begun a trial: failing
+                # before they take a piece would leave them nothing to draw
+                drawing.wait(10)
                 raise ValueError("the calling thread failed")
             begun.append(stream_of(rng))
+            drawing.set()
             time.sleep(0.02)
             ended.append(stream_of(rng))
             return sample_product(spec, rng)
@@ -498,7 +502,8 @@ class TestStreamReset:
         spec, seed = ChainSpec(3, 2, (4, 4)), SeedSpec(5, 2)
         rng = np.random.Generator(np.random.Philox())
         for sample in (sample_product, sample_single, sample_product):
-            assert np.array_equal(sample(spec, stream_rng(seed, rng)), sample(spec, philox_stream(seed)))
+            reused = sample(spec, stream_rng(seed, rng))
+            assert np.array_equal(bits(reused), bits(sample(spec, philox_stream(seed))))
 
     @pytest.mark.parametrize("offset", [0, 1, 2**32])
     def test_offset_replays_the_later_stream(self, offset):

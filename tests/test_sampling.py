@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import philox_stream
+from conftest import bits, philox_stream
 from test_engine import SPECS
 from gmprod.core import ChainSpec
 from gmprod.sampling import SeedSpec, sample_product, sample_single, stream_rng
@@ -101,6 +101,33 @@ class TestSampleSingle:
         se = sq.std(ddof=1) / math.sqrt(n)
         assert abs(sq.mean() - 0.25) <= 3 * se
 
+    @pytest.mark.parametrize("shape", [(2, 2), (8, 8), (16, 16), (130, 130)], ids=str)
+    @pytest.mark.parametrize("d", [3, 2048])
+    @pytest.mark.parametrize("seed", [SeedSpec(0), SeedSpec(7, 3), SeedSpec(2**64 - 1, 2**40)], ids=str)
+    def test_normal_at_negative_zero_is_scaled_standard_normal(self, seed, d, shape):
+        # numpy's normal is loc + scale * z with the ziggurat z of standard_normal
+        scale = 1 / math.sqrt(d)
+        fused = philox_stream(seed).normal(-0.0, scale, shape)
+        assert np.array_equal(bits(fused), bits(philox_stream(seed).standard_normal(shape) * scale))
+
+    def test_negative_zero_is_the_additive_identity(self):
+        # why the single draw's loc is -0.0: adding 0.0 would turn a -0.0 entry into 0.0
+        assert math.copysign(1.0, 0.0 + -0.0) == 1.0
+        for zero in (0.0, -0.0):
+            assert math.copysign(1.0, -0.0 + zero) == math.copysign(1.0, zero)
+        # and comparing values would not see that change
+        assert np.array_equal([-0.0], [0.0]) and not np.array_equal(bits([-0.0]), bits([0.0]))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [ChainSpec(2, 2, (4,)), ChainSpec(8, 8, (2048,)), *(s for s in SPECS if s.p == 16), ChainSpec(130, 130, (2,))],
+        ids=str,
+    )
+    def test_matches_scaled_standard_normal(self, spec):
+        seed = SeedSpec(31, 4)
+        expected = philox_stream(seed).standard_normal((spec.p, spec.q)) * (1 / math.sqrt(spec.d1))
+        assert np.array_equal(bits(sample_single(spec, philox_stream(seed))), bits(expected))
+
 
 class TestSampleProduct:
     def test_shape(self):
@@ -151,10 +178,11 @@ class TestSampleProduct:
     )
     def test_bit_exact_reference(self, spec):
         seed = SeedSpec(31, 4)
-        assert np.array_equal(sample_product(spec, philox_stream(seed)), reference_product(spec, seed))
+        got = sample_product(spec, philox_stream(seed))
+        assert np.array_equal(bits(got), bits(reference_product(spec, seed)))
         # the single ensemble is (1/sqrt(d1)) * g
         single = (1 / np.sqrt(spec.d1)) * philox_stream(seed).standard_normal((spec.p, spec.q))
-        assert np.array_equal(sample_single(spec, philox_stream(seed)), single)
+        assert np.array_equal(bits(sample_single(spec, philox_stream(seed))), bits(single))
 
     def test_single_factor_rejected(self):
         with pytest.raises(ValueError):
@@ -195,7 +223,8 @@ def test_product_matches_per_factor_reference(spec, master_seed, stream_index):
     # one fill with views (r = 2) and per-factor fills (longer chains)
     # both replay the per-factor draws bit for bit
     seed = SeedSpec(master_seed, stream_index)
-    assert np.array_equal(sample_product(spec, philox_stream(seed)), reference_product(spec, seed))
+    got = sample_product(spec, philox_stream(seed))
+    assert np.array_equal(bits(got), bits(reference_product(spec, seed)))
 
 
 @pytest.mark.parametrize("seed", [SeedSpec(0), SeedSpec(2**64 - 1, 2**40)], ids=str)
@@ -207,7 +236,8 @@ def test_product_matches_per_factor_reference(spec, master_seed, stream_index):
 def test_two_factor_product_matches_reference_at_workload_sizes(spec, seed):
     # the one-fill product is multiplied by another routine than the
     # reference's ``@``; both must give the same bits at the sizes drawn
-    assert np.array_equal(sample_product(spec, philox_stream(seed)), reference_product(spec, seed))
+    got = sample_product(spec, philox_stream(seed))
+    assert np.array_equal(bits(got), bits(reference_product(spec, seed)))
 
 
 def test_stream_independence_cross_correlation():
