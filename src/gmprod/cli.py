@@ -10,10 +10,13 @@ from the environment, and a re-run of the same argv is byte-identical.
 Exit status: 0 success, 2 invalid arguments, 3 exact oracle over budget;
 every error is one ``gmprod:`` line on stderr.
 
-``distinguish`` and ``sweep`` check the options they read (``--trials``
-and ``--seed`` among them, refused by name), build their chains, and
-draw through ``distinguisher.draw_h_samples``: ``distinguish`` as one
-chain, ``sweep`` as one chain per row. That function owns the order in
+``moments``, ``distinguish`` and ``oracle`` read their one chain with
+``_chain``, which parses ``--p``, ``--q`` and ``--inner`` and returns the
+chain's report fields ``p``, ``q`` and ``inner`` with it. ``distinguish``
+and ``sweep`` check the options they read (``--trials`` and ``--seed``
+among them, refused by name), build their chains, and draw through
+``distinguisher.draw_h_samples``: ``distinguish`` as one chain, ``sweep``
+as one chain per row. That function owns the order in
 which chains are refused, the streams of each ensemble and the grouping
 of chains into engine calls; this module knows none of them.
 
@@ -53,15 +56,18 @@ DISTINGUISH_CSV_HEADER = [
 SWEEP_CSV_HEADER = ["d", "accuracy", "tv_lower_empirical", "tv_upper_c1", "chebyshev_error", "mean_gap"]
 
 
-def _parse_inner(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
-        return ()
+def _chain(args) -> tuple[ChainSpec, dict]:
+    """The chain of ``--p``, ``--q`` and ``--inner``, and its report fields ``p``, ``q`` and ``inner``.
+
+    A malformed ``--inner`` list is refused first, then ``ChainSpec``'s checks.
+    """
+    text = args.inner.strip()
     try:
-        dims = tuple(int(part) for part in text.split(","))
+        inner = tuple(int(part) for part in text.split(",")) if text else ()
     except ValueError:
         raise ValueError(f"malformed inner dimension list: {text!r}") from None
-    return dims
+    spec = ChainSpec(args.p, args.q, inner)
+    return spec, {"p": spec.p, "q": spec.q, "inner": list(spec.inner)}
 
 
 def _csv_field(value) -> str:
@@ -113,13 +119,11 @@ def _check_draw(subcommand: str, args) -> None:
 def cmd_moments(args):
     from .distinguisher import TV_UPPER_C, build_test
 
-    spec = ChainSpec(args.p, args.q, _parse_inner(args.inner))
+    spec, chain = _chain(args)
     plan = build_test(spec)
     s = closed_form_moments(spec)
     report = {
-        "p": spec.p,
-        "q": spec.q,
-        "inner": list(spec.inner),
+        **chain,
         "mean_product": plan.mu_product,
         "mean_single": plan.mu_single,
         "var_single": plan.var_single,
@@ -134,13 +138,11 @@ def cmd_distinguish(args):
     from .distinguisher import TV_UPPER_C, draw_h_samples, error_rates
     from .sampling import SeedSpec
 
-    spec = ChainSpec(args.p, args.q, _parse_inner(args.inner))
+    spec, chain = _chain(args)
     _check_draw("distinguish", args)
     ((_, plan, h_product, h_single),) = draw_h_samples([spec], args.trials, SeedSpec(args.seed))
     report = {
-        "p": spec.p,
-        "q": spec.q,
-        "inner": list(spec.inner),
+        **chain,
         "trials": args.trials,
         "seed": args.seed,
         "threshold": plan.threshold,
@@ -223,13 +225,11 @@ def cmd_sweep(args):
 
 
 def cmd_oracle(args):
-    spec = ChainSpec(args.p, args.q, _parse_inner(args.inner))
+    spec, chain = _chain(args)
     wick_mean = wick_exact_mean_h(spec)
     closed_mean = mean_h_product_exact(spec)
     report = {
-        "p": spec.p,
-        "q": spec.q,
-        "inner": list(spec.inner),
+        **chain,
         "max_monomials": MAX_MONOMIALS,
         "wick_mean": _frac_str(wick_mean),
         "closed_form_mean": _frac_str(closed_mean),
@@ -319,14 +319,11 @@ def main(argv=None) -> int:
         args = _PARSER.parse_args(argv) if subparser is None else subparser.parse_args(argv[1:])
         report, csv_header, records = args.func(args)
         text = canonical_json(report) if args.format == "json" else _csv_text(csv_header, records)
-    except OracleBudgetError as exc:
-        print(f"gmprod: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, OverflowError, MemoryError) as exc:
+    except (OracleBudgetError, ValueError, OverflowError, MemoryError) as exc:
         # OverflowError: a dimension too large to convert to a float;
         # MemoryError: a --steps too large to allocate
         print(f"gmprod: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, OracleBudgetError) else 2
     finally:
         if digit_cap:
             sys.set_int_max_str_digits(digit_cap)

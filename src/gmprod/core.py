@@ -9,7 +9,10 @@ between concurrent workers.
 The package's records (``ChainSpec``, ``MomentVector``, ``SeedSpec``,
 ``TestPlan``) are immutable ``__slots__`` classes on ``_Record``, not
 dataclasses: importing ``dataclasses`` loads ``inspect``, about a third
-of the time that importing ``gmprod.cli`` would take with it.
+of the time that importing ``gmprod.cli`` would take with it. A record
+that checks nothing (``MomentVector``, ``TestPlan``) is its docstring and
+its ``__slots__``, built by ``_Record``'s positional ``__init__``;
+``ChainSpec`` and ``SeedSpec`` check their fields in their own.
 """
 
 from __future__ import annotations
@@ -50,15 +53,25 @@ class _Record:
     """An immutable record whose fields are its class's ``__slots__``, in order.
 
     ``==``, ``hash`` and ``repr`` go by the field values, and a record equals
-    only a record of its own class. A subclass's ``__init__`` sets every
-    field once, one ``object.__setattr__`` call per field: a loop over the
-    slots built a ``ChainSpec`` about 1.5 times as slowly on cold caches,
-    as in an ``oracle`` op. After that, assigning or deleting an attribute
-    raises AttributeError. Copy and pickle call the class with the field
-    values, so they pass the constructor's checks.
+    only a record of its own class. ``__init__`` takes one value per field,
+    positionally, and raises TypeError, naming the class, for any other
+    count. A subclass that checks its fields does so in its own
+    ``__init__``: ``SeedSpec`` then calls this one, while ``ChainSpec``
+    sets each field with its own ``object.__setattr__`` call, because a
+    loop over the slots built a ``ChainSpec`` about 1.5 times as slowly on
+    cold caches, as in an ``oracle`` op. After that, assigning or deleting
+    an attribute raises AttributeError. Copy and pickle call the class
+    with the field values, so they pass the constructor's checks.
     """
 
     __slots__ = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{self.__class__.__qualname__} takes {len(self.__slots__)} fields, "
+                            f"got {len(values)}")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)

@@ -37,15 +37,6 @@ class TestPlan(_Record):
     __slots__ = ("mu_single", "mu_product", "threshold", "var_single", "var_product",
                  "chebyshev_error_bound")
 
-    def __init__(self, mu_single: float, mu_product: float, threshold: float,
-                 var_single: float, var_product: float, chebyshev_error_bound: float):
-        object.__setattr__(self, "mu_single", mu_single)
-        object.__setattr__(self, "mu_product", mu_product)
-        object.__setattr__(self, "threshold", threshold)
-        object.__setattr__(self, "var_single", var_single)
-        object.__setattr__(self, "var_product", var_product)
-        object.__setattr__(self, "chebyshev_error_bound", chebyshev_error_bound)
-
 
 def _chebyshev_error(gap: float, var_single: float, var_product: float) -> float:
     """Per-hypothesis misclassification bound for the midpoint threshold.
@@ -121,10 +112,14 @@ def draw_h_samples(
 
 
 def _nonempty(xs, ys) -> tuple[np.ndarray, np.ndarray]:
-    """Both samples as flat float arrays; raises ValueError if either is empty."""
+    """Both samples as flat float arrays; raises ValueError if either is empty or not finite."""
     xs, ys = np.asarray(xs, dtype=float).ravel(), np.asarray(ys, dtype=float).ravel()
     if xs.size == 0 or ys.size == 0:
         raise ValueError("both samples must be nonempty")
+    for sample in (xs, ys):
+        finite = np.isfinite(sample)
+        if not finite.all():
+            raise ValueError(f"samples must be finite, got {sample[~finite][0]}")
     return xs, ys
 
 

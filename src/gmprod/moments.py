@@ -35,18 +35,6 @@ class MomentVector(_Record):
 
     __slots__ = ("s1", "s2", "s3", "s4", "s5", "s6")
 
-    def __init__(self, s1: int | float, s2: int | float, s3: int | float,
-                 s4: int | float, s5: int | float, s6: int | float):
-        object.__setattr__(self, "s1", s1)
-        object.__setattr__(self, "s2", s2)
-        object.__setattr__(self, "s3", s3)
-        object.__setattr__(self, "s4", s4)
-        object.__setattr__(self, "s5", s5)
-        object.__setattr__(self, "s6", s6)
-
-    def as_tuple(self):
-        return (self.s1, self.s2, self.s3, self.s4, self.s5, self.s6)
-
 
 def closed_form_moments(spec: ChainSpec) -> MomentVector:
     """Moments of the full unnormalized chain; they depend only on its inner dimensions.

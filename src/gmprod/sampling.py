@@ -92,8 +92,7 @@ class SeedSpec(_Record):
             # a bool is an int, but no seed
             if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < _U64:
                 raise _u64_error(name, value)
-        object.__setattr__(self, "master_seed", master_seed)
-        object.__setattr__(self, "stream_index", stream_index)
+        super().__init__(master_seed, stream_index)
 
     def stream(self, offset: int) -> "SeedSpec":
         """Seed for the stream ``offset`` positions after this one."""

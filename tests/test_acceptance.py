@@ -40,7 +40,7 @@ def test_01_closed_form_equals_recursion():
             t = base_gaussian_moments()
             for d in inner:
                 t = layer_update(t, d)
-            if closed_form_moments(ChainSpec(1, 1, inner)).as_tuple() != t.as_tuple():
+            if closed_form_moments(ChainSpec(1, 1, inner)) != t:
                 check("1 recursion/closed-form identity", False, f"mismatch at {inner}")
             checked += 1
     check("1 recursion/closed-form identity", True, f"{checked} chains, exact integers")

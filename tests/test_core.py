@@ -159,6 +159,12 @@ class TestRecordContract:
             if other_cls is not cls:
                 assert record != other_cls(*other_values)
 
+    def test_wrong_number_of_fields_refused(self, name):
+        cls, values, _ = RECORDS[name]
+        for wrong in ((), (*values, values[0])):
+            with pytest.raises(TypeError, match=name):
+                cls(*wrong)
+
     def test_repr_is_pinned(self, name):
         cls, values, text = RECORDS[name]
         assert repr(cls(*values)) == text

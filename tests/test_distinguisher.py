@@ -83,6 +83,15 @@ class TestClassify:
         with pytest.raises(ValueError, match="both samples must be nonempty"):
             error_rates(h_product, h_single, self.PLAN)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("in_product", [True, False], ids=["in-product", "in-single"])
+    def test_non_finite_sample_refused(self, bad, in_product):
+        # a NaN compares false with the threshold, so it would count as "single"
+        good, spoiled = [1.0, 2.0], [bad, 2.0]
+        h_product, h_single = (spoiled, good) if in_product else (good, spoiled)
+        with pytest.raises(ValueError, match=f"samples must be finite, got {bad}"):
+            error_rates(h_product, h_single, self.PLAN)
+
     def test_scale_consistency(self):
         # scoring c^4-scaled values against a c^4-scaled plan gives
         # identical rates
@@ -281,6 +290,14 @@ class TestTvLowerBound:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             tv_lower_bound_empirical([], [1.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("in_xs", [True, False], ids=["in-xs", "in-ys"])
+    def test_non_finite_rejected(self, bad, in_xs):
+        good, spoiled = [1.0, 2.0], [bad, 1.0]
+        xs, ys = (spoiled, good) if in_xs else (good, spoiled)
+        with pytest.raises(ValueError, match=f"samples must be finite, got {bad}"):
+            tv_lower_bound_empirical(xs, ys)
 
     def test_gaussian_shift_calibration(self):
         # KS distance between N(0,1) and N(1,1) equals their TV distance

@@ -34,7 +34,7 @@ def fold_layers(inner):
 
 class TestBaseMoments:
     def test_values(self):
-        assert base_gaussian_moments().as_tuple() == (3, 3, 1, 1, 1, 0)
+        assert base_gaussian_moments() == MomentVector(3, 3, 1, 1, 1, 0)
 
     def test_consequences(self):
         t = base_gaussian_moments()
@@ -44,7 +44,7 @@ class TestBaseMoments:
 
 class TestLayerUpdate:
     def test_one_layer_d2(self):
-        assert layer_update(base_gaussian_moments(), 2).as_tuple() == (24, 24, 8, 8, 4, 2)
+        assert layer_update(base_gaussian_moments(), 2) == MomentVector(24, 24, 8, 8, 4, 2)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 7, 50])
     def test_one_layer_closed_relations(self, d):
@@ -66,7 +66,7 @@ class TestLayerUpdate:
 
 class TestClosedFormMoments:
     def test_empty_is_base(self):
-        assert closed_form_moments(ChainSpec(1, 1)).as_tuple() == (3, 3, 1, 1, 1, 0)
+        assert closed_form_moments(ChainSpec(1, 1)) == MomentVector(3, 3, 1, 1, 1, 0)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 10])
     def test_single_layer(self, d):
@@ -83,19 +83,19 @@ class TestClosedFormMoments:
                 # a chain's last inner dimension repeats its first
                 inner = prefix if prefix[-1:] == prefix[:1] else prefix + prefix[:1]
                 spec = ChainSpec(1, 1, inner)
-                assert closed_form_moments(spec).as_tuple() == fold_layers(inner).as_tuple()
+                assert closed_form_moments(spec) == fold_layers(inner)
 
     @pytest.mark.parametrize("bad", [2.5, True, "4", 0, -3])
     def test_bad_inner_dimension_refused(self, bad):
         # a float, bool or string was coerced by int(), and a nonpositive
         # dimension gave a negative s6
-        assert closed_form_moments(ChainSpec(1, 1, (2,))).as_tuple() == (24, 24, 8, 8, 4, 2)
+        assert closed_form_moments(ChainSpec(1, 1, (2,))) == MomentVector(24, 24, 8, 8, 4, 2)
         with pytest.raises(ValueError, match="inner dimension must be a positive integer"):
             closed_form_moments(ChainSpec(1, 1, (bad,)))
 
     def test_matches_recursion_long_chain(self):
         inner = tuple((7 * k) % 23 + 1 for k in range(300))  # first and last are 1
-        assert closed_form_moments(ChainSpec(1, 1, inner)).as_tuple() == fold_layers(inner).as_tuple()
+        assert closed_form_moments(ChainSpec(1, 1, inner)) == fold_layers(inner)
 
 
 class TestMeanProduct:
