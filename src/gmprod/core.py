@@ -1,7 +1,8 @@
 """Matrix validation and the dimension profile of a product chain.
 
-Matrices are plain 2-D float64 numpy arrays; every public operation
-validates its inputs and returns finite values, and a ``ChainSpec`` is
+Matrices are plain 2-D float64 numpy arrays. ``as_matrix`` coerces a
+trial's matrix and checks its shape; the trial engine checks the entries
+for finiteness once per piece of trials, not here. A ``ChainSpec`` is
 valid once built, also after a copy or a pickle, which rebuild it through
 its constructor. All functions are pure, so values can be shared freely
 between concurrent workers.
@@ -24,17 +25,17 @@ np = None
 
 
 def as_matrix(x, shape: tuple[int, int]) -> np.ndarray:
-    """Coerce ``x`` to a float64 array of ``shape``, a chain's ``(p, q)``, with finite entries."""
+    """Coerce ``x`` to a float64 array of ``shape``, a chain's ``(p, q)``.
+
+    Its entries are not checked: the trial engine, its one caller, checks
+    a whole piece of trials for finiteness at once (``sampling.h_samples``).
+    """
     global np
     if np is None:
         import numpy as np
     m = np.asarray(x, dtype=np.float64)
     if m.shape != shape:
         raise ValueError(f"expected a {shape[0]} x {shape[1]} matrix, got shape {m.shape}")
-    # counting the finite entries is exact and sets no floating-point flag;
-    # a sum of the entries would warn when finite entries overflow it
-    if np.count_nonzero(np.isfinite(m)) != m.size:
-        raise ValueError("matrix entries must be finite")
     return m
 
 

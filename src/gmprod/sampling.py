@@ -34,8 +34,10 @@ pulls the next piece from one shared iterator, resets the generator with
 ``stream_rng`` before each trial and checks each trial's matrix with
 ``as_matrix``, which refuses one that is not p x q (the statistic of a
 matrix of another shape would broadcast). It then copies the piece's
-matrices into one stack and computes the statistic as stacked matrix
-products over the piece, the only place the package computes h.
+matrices into one stack, checks the whole stack for finiteness with one
+``np.isfinite`` reduction, which sets no floating-point flag, and
+computes the statistic as stacked matrix products over the piece, the
+only place the package computes h.
 
 A job whose sampler draws at least ``_PARALLEL_NORMALS`` normals per
 trial (p*q for ``sample_single``, the whole chain for any other sampler)
@@ -184,6 +186,10 @@ def sample_product(spec: ChainSpec, rng: np.random.Generator) -> np.ndarray:
     return out
 
 
+def _non_finite() -> ValueError:
+    return ValueError("matrix entries must be finite")
+
+
 def _cpu_count() -> int:
     """CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -276,8 +282,15 @@ def h_samples(jobs: list[Job]) -> list[np.ndarray]:
     ValueError, before drawing anything, when ``check_trial_count`` refuses
     a job's n, its last stream index does not fit in 64 bits,
     ``check_trial_size`` refuses its chain or its n values cannot be
-    allocated; the jobs are checked in order. A failing trial, or one whose
-    matrix ``as_matrix`` refuses, raises the lowest failing (job, trial)'s error.
+    allocated; the jobs are checked in order. A failing trial, one whose
+    matrix ``as_matrix`` refuses for its shape, or one whose matrix holds a
+    NaN or an infinity, raises the lowest failing (job, trial)'s error; the
+    last with ``ValueError("matrix entries must be finite")``. Finiteness
+    is checked once per piece, so a non-finite trial is refused when its
+    piece has been drawn, not at the trial: only a call that fails draws
+    the rest of that piece. When a trial raises or has the wrong shape,
+    the trials of its piece drawn before it are checked first, so an
+    earlier non-finite trial still wins.
     """
     outs, normals = [], []
     for _, spec, n, seed in jobs:
@@ -322,9 +335,18 @@ def h_samples(jobs: list[Job]) -> list[np.ndarray]:
             try:
                 for trial in range(first, first + m):
                     append(check(sample(spec, reset(seed, rng, trial)), shape))
-                outs[j][first : first + m] = _stacked_h(np.array(mats))
+                stack = np.array(mats)
+                # one reduction per piece; isfinite, unlike a sum, sets no floating-point flag
+                if not np.isfinite(stack).all():
+                    raise _non_finite()
+                outs[j][first : first + m] = _stacked_h(stack)
             except Exception as exc:
-                fail(j, trial, exc)
+                # a non-finite trial collected before the failing one is the lower failure
+                bad = next((i for i, x in enumerate(mats) if not np.isfinite(x).all()), None)
+                if bad is None:
+                    fail(j, trial, exc)
+                else:
+                    fail(j, first + bad, _non_finite())
             except BaseException as exc:  # an interrupt: skip every piece not yet started
                 fail(-1, -1, exc)
 

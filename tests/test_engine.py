@@ -2,6 +2,7 @@ import functools
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -448,21 +449,30 @@ class TestChecks:
             h_samples([(sample, ChainSpec(3, 2, (4,)), 5, SeedSpec(0))])
 
     @pytest.mark.parametrize(
-        "shaped, raised, match",
+        "shaped, raised, infinite, match",
         [
-            (2, 4, r"expected a 2 x 2 matrix, got shape \(1, 2\)"),
-            (4, 2, "trial 2 failed"),
-            (2, 2, "trial 2 failed"),
+            (2, 4, None, r"expected a 2 x 2 matrix, got shape \(1, 2\)"),
+            (4, 2, None, "trial 2 failed"),
+            (2, 2, None, "trial 2 failed"),
+            (None, 4, 2, "matrix entries must be finite"),
+            (None, 2, 4, "trial 2 failed"),
+            (4, None, 2, "matrix entries must be finite"),
+            (None, 0, 3, "trial 0 failed"),
         ],
-        ids=["shape-first", "raise-first", "same-trial"],
+        ids=["shape-first", "raise-first", "same-trial", "finite-first", "raise-before-finite",
+             "finite-before-shape", "first-trial-raises"],
     )
-    def test_first_failure_in_a_piece_is_raised(self, shaped, raised, match):
+    def test_first_failure_in_a_piece_is_raised(self, shaped, raised, infinite, match):
         # six trials of one piece on the calling thread: a wrong shape is
-        # refused at its own trial, so it wins over a later raise
+        # refused at its own trial, so it wins over a later raise; a
+        # non-finite trial is found when the piece ends or a later trial
+        # fails, and wins over every later failure
         def sample(spec, rng):
             trial = stream_of(rng)
             if trial == raised:
                 raise ValueError(f"trial {trial} failed")
+            if trial == infinite:
+                return np.full((2, 2), np.inf)
             return np.ones((1, 2)) if trial == shaped else sample_product(spec, rng)
 
         with pytest.raises(ValueError, match=match):
@@ -484,6 +494,20 @@ class TestChecks:
 
         with pytest.raises(ValueError, match="finite"):
             h_samples([(sample, ChainSpec(2, 2, (4,)), 5, SeedSpec(0))])
+
+    @pytest.mark.parametrize(
+        "x",
+        [[[np.inf, -np.inf]], [[np.nan, 0.0]], [[0.0, -np.inf]]],
+        ids=["inf-minus-inf", "nan", "minus-inf"],  # the first's sum is nan
+    )
+    def test_non_finite_matrix_refused_without_a_warning(self, x):
+        def sample(spec, rng):
+            return np.array(x) if stream_of(rng) == 1 else sample_product(spec, rng)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="matrix entries must be finite"):
+                h_samples([(sample, ChainSpec(1, 2, (3,)), 4, SeedSpec(0))])
 
 
 class TestStreamReset:

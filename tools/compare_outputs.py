@@ -14,7 +14,8 @@ The argvs come from this checkout: every ``PINNED_OUTPUT`` key of
 ``MINIMAL`` in ``bench/workloads.py``. Each has its own ``--seed`` and
 ``--format`` dropped and runs at seeds 0, 7 and 12345, in JSON and, where
 the subcommand writes it, in CSV. Each argv runs twice: once to stdout and
-once with ``--out`` into an empty temporary directory. The exit status,
+once with ``--out out`` from inside an empty temporary directory, so no
+message can echo the directory's random name. The exit status,
 stdout, stderr and the bytes ``--out`` wrote are compared; every argv
 whose results differ is printed, and the exit status is 1 if any does,
 0 otherwise.
@@ -29,6 +30,7 @@ import contextlib
 import importlib.util
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -94,12 +96,17 @@ def _run_here(tree: Path, argv_list: list[list[str]]) -> list:
     if not Path(cli.__file__).resolve().is_relative_to(tree):  # e.g. an installed gmprod took precedence
         raise SystemExit(f"gmprod.cli was imported from {cli.__file__}, not from {tree}")
     main = cli.main
-    results = []
+    results, home = [], os.getcwd()
     for argv in argv_list:
+        # run from inside the temporary directory, so that the path any
+        # message echoes is the fixed ``out``, never the random directory
         with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "out"
-            to_file = _call(main, [*argv, "--out", str(path)])
-            written = base64.b64encode(path.read_bytes()).decode() if path.exists() else None
+            os.chdir(tmp)
+            try:
+                to_file = _call(main, [*argv, "--out", "out"])
+                written = base64.b64encode(Path("out").read_bytes()).decode() if Path("out").exists() else None
+            finally:
+                os.chdir(home)
         results.append([_call(main, argv), to_file, written])
     return results
 
