@@ -16,12 +16,15 @@ scales in one call, ``Generator.normal(-0.0, scale, shape)``, whose
 entries are ``-0.0 + scale * z`` for the same ziggurat z: -0.0 is the
 additive identity of every double, so each entry is ``z * scale`` bit for
 bit, the sign of a zero included. A two-factor chain draws both factors
-with one (p + q) x d1 fill, scales it once, and multiplies its first p
-rows by the rest, reshaped to d1 x q, with ``np.dot``: the ziggurat fills
-an array in order, so each factor holds the normals a fill of its own
-shape would have drawn, and ``np.dot`` calls the same BLAS routine as
-``@`` at less cost per call, so the product is the one factor-by-factor
-draws give, bit for bit.
+with one scaled (p + q) x d1 fill, and multiplies its first p rows by the
+rest, reshaped to d1 x q, with ``np.dot``: the ziggurat fills an array in
+order, so each factor holds the normals a fill of its own shape would
+have drawn, and ``np.dot`` calls the same BLAS routine as ``@`` at less
+cost per call, so the product is the one factor-by-factor draws give,
+bit for bit. Below ``_FUSED_NORMALS`` (2**10) normals that fill is one
+``Generator.normal(-0.0, scale, shape)`` call, as the single draw is;
+from there up, where that call measured slower, it is
+``standard_normal`` and an in-place scale.
 
 ``h_samples(jobs)`` returns, for each job ``(sample, spec, n, seed)``,
 the statistic h = tr((A^T A)^2) of n trials drawn by the one-trial
@@ -67,14 +70,21 @@ import numpy as np
 from .core import ChainSpec, _Record, as_matrix
 
 _U64 = 1 << 64
-# the four-word output block of a Philox that has drawn nothing yet
-_EMPTY_BUFFER = (0, 0, 0, 0)
+# each thread's Philox state dict, reused by stream_rng (see its docstring)
+_thread_state = threading.local()
 # 2**15 float64 entries, 256 KiB per stack.
 _CHUNK_ENTRIES = 1 << 15
 # Below 2**12 normals per trial, a trial spends most of its time in
 # interpreter work, which holds the interpreter lock and so cannot
 # overlap; a call of such jobs alone runs on the calling thread.
 _PARALLEL_NORMALS = 1 << 12
+# Below 2**10 normals, a two-factor trial draws and scales its fill in one
+# Generator.normal call; from there up, standard_normal and an in-place scale.
+# Fused/two-step time, interleaved medians on a 2-core Xeon: 0.74 at 16
+# normals, 0.92 at 256, 0.96 at 512, 1.00 at 1020, 1.01 at 1024, 1.02 at 2048
+# and 1.05 at 32768: numpy's normal loop calls the ziggurat through a pointer
+# per entry, which costs more than the second pass saves on a large fill.
+_FUSED_NORMALS = 1 << 10
 # 2**26 float64 values, 512 MiB: the most one trial may draw or store.
 # Every worker holds a trial at a time, so this also bounds their memory.
 _MAX_TRIAL_NORMALS = 1 << 26
@@ -112,6 +122,15 @@ def stream_rng(seed: SeedSpec, rng: np.random.Generator, offset: int = 0) -> np.
     building a Philox. ``stream_rng(seed, rng, k)`` resets to the stream
     of ``seed.stream(k)`` without building that ``SeedSpec``; an index
     outside ``[0, 2**64)`` raises ValueError.
+
+    The state is set from one dict per thread, built on the thread's first
+    call; each call replaces its counter, its key and its generator name
+    (the setter of a Philox subclass checks its own name). Reusing it,
+    rather than building two dicts per call, takes about an eighth off the
+    call (1.71 to 1.48 us, timeit, 2000 calls x 60 rounds on a 2-core
+    Xeon). No dict is shared between threads: the engine's workers reset
+    their generators concurrently, and a reset on one thread would
+    otherwise rewrite the stream another thread is setting.
     """
     bit_generator = rng.bit_generator
     if not isinstance(bit_generator, np.random.Philox):
@@ -120,14 +139,18 @@ def stream_rng(seed: SeedSpec, rng: np.random.Generator, offset: int = 0) -> np.
     # the SeedSpec check without its bool test: a sum of ints is never a bool
     if not isinstance(index, int) or not 0 <= index < _U64:
         raise _u64_error("stream_index", index)
-    bit_generator.state = {
-        "bit_generator": type(bit_generator).__name__,
-        "state": {"counter": (0, 0, index, 0), "key": (seed.master_seed, 0)},
-        "buffer": _EMPTY_BUFFER,
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+    try:
+        state = _thread_state.value
+    except AttributeError:  # the thread's first reset
+        # an empty four-word output block, as a Philox that has drawn nothing has
+        state = _thread_state.value = {
+            "state": {}, "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+        }
+    state["bit_generator"] = type(bit_generator).__name__
+    words = state["state"]
+    words["counter"] = (0, 0, index, 0)
+    words["key"] = (seed.master_seed, 0)
+    bit_generator.state = state
     return rng
 
 
@@ -140,9 +163,10 @@ def sample_single(spec: ChainSpec, rng: np.random.Generator) -> np.ndarray:
     ``scale * z`` as it is, where 0.0 would turn a -0.0 into 0.0. The
     entries are those of ``standard_normal`` scaled in place, bit for bit,
     at about two thirds of the cost for a 2 x 2 draw. numpy's normal loop
-    calls the ziggurat through a pointer per entry, so a draw of 4096
-    normals or more costs a few percent more than the two-call draw; no
-    single draw of the package's workloads exceeds 256 normals, and the
+    calls the ziggurat through a pointer per entry, so a draw of
+    ``_FUSED_NORMALS`` normals or more costs a few percent more than the
+    two-call draw. The single draw stays fused at every size: none of the
+    package's workloads draws more than 256 single normals, and the
     product's d1 * (p + q) normals outnumber the single's p * q wherever
     d1 is large.
     """
@@ -159,22 +183,28 @@ def sample_product(spec: ChainSpec, rng: np.random.Generator) -> np.ndarray:
     a given stream always replays the identical product.
 
     A two-factor chain (r = 2, so inner == (d1,)) scales both factors by
-    1/sqrt(d1). It draws its normals as one (p + q) x d1 array, scales it
-    once in place, and multiplies its first p rows, the first factor, by
-    its last q rows reshaped to d1 x q, the second, with ``np.dot``, the
-    BLAS call of ``@`` at less overhead. numpy fills an array in order, so
-    each view holds exactly the normals a fill of its own shape would have
-    drawn, and the product is the same bit for bit. The product keeps
-    ``standard_normal`` and an in-place scale at every size: a fused
-    ``Generator.normal`` draw measured about 4% slower per normal from 4096
-    normals up. Longer chains draw and scale factor by factor, so they
-    hold one factor's normals at a time.
+    1/sqrt(d1). It draws its normals as one scaled (p + q) x d1 array and
+    multiplies its first p rows, the first factor, by its last q rows
+    reshaped to d1 x q, the second, with ``np.dot``, the BLAS call of
+    ``@`` at less overhead. numpy fills an array in order, so each view
+    holds exactly the normals a fill of its own shape would have drawn,
+    and the product is the same bit for bit. Below ``_FUSED_NORMALS``
+    (2**10) normals the array is one ``Generator.normal(-0.0, scale,
+    shape)`` call, bit for bit the scaled ``standard_normal`` fill (see
+    ``sample_single``), at about 0.74 of its time for 16 normals and 0.96
+    for 512; from 2**10 normals up, where the fused draw measured 1-5%
+    slower, it is ``standard_normal`` and an in-place scale. Longer chains
+    draw and scale factor by factor, so they hold one factor's normals at
+    a time.
     """
     inner, p, q = spec.inner, spec.p, spec.q
     if len(inner) == 1:
         d1 = inner[0]
-        x = rng.standard_normal((p + q, d1))
-        x *= 1.0 / math.sqrt(d1)
+        if (p + q) * d1 < _FUSED_NORMALS:
+            x = rng.normal(-0.0, 1.0 / math.sqrt(d1), (p + q, d1))
+        else:
+            x = rng.standard_normal((p + q, d1))
+            x *= 1.0 / math.sqrt(d1)
         return np.dot(x[:p], x[p:].reshape(d1, q))
     d1, r = spec.d1, spec.r  # d1 refuses a chain with no inner dimension
     dims = (p, *inner, q)

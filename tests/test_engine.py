@@ -547,6 +547,40 @@ class TestStreamReset:
         with pytest.raises(TypeError, match="Philox"):
             stream_rng(SeedSpec(0), np.random.default_rng(0))
 
+    def test_threads_reset_their_own_streams(self):
+        # each state setter waits until both threads have filled in their
+        # stream, so a state dict shared by the threads would hand one of
+        # them the other's stream
+        barrier = threading.Barrier(2, timeout=10)
+
+        class WaitingPhilox(np.random.Philox):
+            @property
+            def state(self):
+                return np.random.Philox.state.__get__(self)
+
+            @state.setter
+            def state(self, value):
+                barrier.wait()
+                np.random.Philox.state.__set__(self, value)
+
+        seeds = [SeedSpec(12, 7), SeedSpec(2**64 - 1, 2**40)]
+        drawn = [None, None]
+
+        def reset(k):
+            # a plain Philox first, so the subclass's name must replace its own
+            stream_rng(seeds[1 - k], np.random.Generator(np.random.Philox()))
+            rng = stream_rng(seeds[k], np.random.Generator(WaitingPhilox()), k)
+            drawn[k] = rng.standard_normal(11)
+
+        threads = [threading.Thread(target=reset, args=(k,)) for k in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=20)
+            assert not thread.is_alive()
+        for k, seed in enumerate(seeds):
+            assert np.array_equal(bits(drawn[k]), bits(philox_stream(seed.stream(k)).standard_normal(11)))
+
 
 def engine_h(x) -> float:
     """h of one matrix, through the engine's stacked statistic on a one-matrix stack."""

@@ -17,6 +17,12 @@ stops the run with status 2.
 The output gives each side's median milliseconds per op over all its
 timed ops, the change/parent ratio of those medians, and in how many
 rounds the change's N ops took less time in total than the parent's.
+It then gives the interquartile range of the parent's per-round median
+milliseconds (``statistics.quantiles(n=4, method="inclusive")``), and a
+last line with the verdict of the rule for claiming a gain: over at
+least 10 rounds, the change won at least nine tenths of them, and the
+median of its per-round medians is below the parent's by more than that
+interquartile range.
 """
 
 from __future__ import annotations
@@ -58,6 +64,19 @@ def _serve(tree: Path, argv: list[str]) -> None:
         print(json.dumps(times), flush=True)
 
 
+def verdict(parent: list[float], change: list[float], wins: int) -> tuple[float, float, bool]:
+    """The parent's interquartile range, the median gap and whether the change gained.
+
+    ``parent`` and ``change`` hold each side's per-round median times, at
+    least two each, and ``wins`` counts the rounds the change won. The gap
+    is the parent's median of them minus the change's, so positive when
+    the change is faster.
+    """
+    q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+    iqr, gap, rounds = q3 - q1, statistics.median(parent) - statistics.median(change), len(parent)
+    return iqr, gap, rounds >= 10 and 10 * wins >= 9 * rounds and gap > iqr
+
+
 class _Side:
     """One tree's serving interpreter."""
 
@@ -67,6 +86,7 @@ class _Side:
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
         )
         self.times: list[float] = []
+        self.round_medians: list[float] = []
 
     def run(self, ops: int) -> list[float]:
         """The seconds of ops 0..ops-1."""
@@ -84,7 +104,7 @@ class _Side:
 
 def main(args=None) -> int:
     parser = argparse.ArgumentParser(description="Time CLI ops of this checkout against another tree.")
-    parser.add_argument("--rounds", type=int, default=5, help="alternations of the two trees (default 5)")
+    parser.add_argument("--rounds", type=int, default=10, help="alternations of the two trees (default 10)")
     parser.add_argument("--ops", type=int, default=100, help="ops per side per round (default 100)")
     parser.add_argument("tree", type=Path, help="the tree to compare with, such as the parent commit's")
     parser.add_argument("argv", nargs=argparse.REMAINDER, help="the CLI argv of one op, without --seed")
@@ -96,8 +116,8 @@ def main(args=None) -> int:
         return 0
     if not opts.argv or "--seed" in opts.argv:
         parser.error("give the argv of one op, without --seed")
-    if opts.rounds < 1 or opts.ops < 1:
-        parser.error("--rounds and --ops must be at least 1")
+    if opts.rounds < 2 or opts.ops < 1:
+        parser.error("--rounds must be at least 2, for quartiles, and --ops at least 1")
     change, parent = (_Side(tree, opts.argv) for tree in (ROOT, opts.tree.resolve()))
     try:
         for side in (change, parent):
@@ -109,6 +129,7 @@ def main(args=None) -> int:
             for side in order:
                 times = side.run(opts.ops)
                 side.times += times
+                side.round_medians.append(statistics.median(times) * 1e3)
                 totals[side] = sum(times)
             wins += totals[change] < totals[parent]
     finally:
@@ -120,6 +141,11 @@ def main(args=None) -> int:
     print(f"change: {medians[1]:.4g} ms per op (median of {opts.rounds} x {opts.ops} ops)")
     print(f"change/parent: {medians[1] / medians[0]:.3f}")
     print(f"change won {wins} of {opts.rounds} rounds")
+    iqr, gap, gained = verdict(parent.round_medians, change.round_medians, wins)
+    print(f"parent IQR: {iqr:.4g} ms (quartiles of its {opts.rounds} per-round median ms)")
+    print(f"verdict: {'gain' if gained else 'no gain'}: won {wins} of {opts.rounds} rounds "
+          f"(at least 10 rounds, 9 in 10 won needed), per-round median gap {gap:.4g} ms "
+          f"{'>' if gap > iqr else '<='} parent IQR")
     return 0
 
 
