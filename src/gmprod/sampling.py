@@ -21,10 +21,8 @@ rest, reshaped to d1 x q, with ``np.dot``: the ziggurat fills an array in
 order, so each factor holds the normals a fill of its own shape would
 have drawn, and ``np.dot`` calls the same BLAS routine as ``@`` at less
 cost per call, so the product is the one factor-by-factor draws give,
-bit for bit. Below ``_FUSED_NORMALS`` (2**10) normals that fill is one
-``Generator.normal(-0.0, scale, shape)`` call, as the single draw is;
-from there up, where that call measured slower, it is
-``standard_normal`` and an in-place scale.
+bit for bit. That fill, too, is one ``Generator.normal(-0.0, scale,
+shape)`` call.
 
 ``h_samples(jobs)`` returns, for each job ``(sample, spec, n, seed)``,
 the statistic h = tr((A^T A)^2) of n trials drawn by the one-trial
@@ -78,13 +76,6 @@ _CHUNK_ENTRIES = 1 << 15
 # interpreter work, which holds the interpreter lock and so cannot
 # overlap; a call of such jobs alone runs on the calling thread.
 _PARALLEL_NORMALS = 1 << 12
-# Below 2**10 normals, a two-factor trial draws and scales its fill in one
-# Generator.normal call; from there up, standard_normal and an in-place scale.
-# Fused/two-step time, interleaved medians on a 2-core Xeon: 0.74 at 16
-# normals, 0.92 at 256, 0.96 at 512, 1.00 at 1020, 1.01 at 1024, 1.02 at 2048
-# and 1.05 at 32768: numpy's normal loop calls the ziggurat through a pointer
-# per entry, which costs more than the second pass saves on a large fill.
-_FUSED_NORMALS = 1 << 10
 # 2**26 float64 values, 512 MiB: the most one trial may draw or store.
 # Every worker holds a trial at a time, so this also bounds their memory.
 _MAX_TRIAL_NORMALS = 1 << 26
@@ -131,6 +122,8 @@ def stream_rng(seed: SeedSpec, rng: np.random.Generator, offset: int = 0) -> np.
     2-core Xeon). No dict is shared between threads: the engine's
     workers reset their generators concurrently, and a reset on one
     thread would otherwise rewrite the stream another thread is setting.
+    The next reset on the thread rewrites the dict, so a state setter
+    must copy what it keeps of it, as Philox's does.
     """
     bit_generator = rng.bit_generator
     if not isinstance(bit_generator, np.random.Philox):
@@ -162,13 +155,7 @@ def sample_single(spec: ChainSpec, rng: np.random.Generator) -> np.ndarray:
     entry as ``loc + scale * z``, and a ``loc`` of -0.0 leaves every
     ``scale * z`` as it is, where 0.0 would turn a -0.0 into 0.0. The
     entries are those of ``standard_normal`` scaled in place, bit for bit,
-    at about two thirds of the cost for a 2 x 2 draw. numpy's normal loop
-    calls the ziggurat through a pointer per entry, so a draw of
-    ``_FUSED_NORMALS`` normals or more costs a few percent more than the
-    two-call draw. The single draw stays fused at every size: none of the
-    package's workloads draws more than 256 single normals, and the
-    product's d1 * (p + q) normals outnumber the single's p * q wherever
-    d1 is large.
+    at about two thirds of the cost for a 2 x 2 draw.
     """
     return rng.normal(-0.0, 1.0 / math.sqrt(spec.d1), (spec.p, spec.q))
 
@@ -188,23 +175,19 @@ def sample_product(spec: ChainSpec, rng: np.random.Generator) -> np.ndarray:
     reshaped to d1 x q, the second, with ``np.dot``, the BLAS call of
     ``@`` at less overhead. numpy fills an array in order, so each view
     holds exactly the normals a fill of its own shape would have drawn,
-    and the product is the same bit for bit. Below ``_FUSED_NORMALS``
-    (2**10) normals the array is one ``Generator.normal(-0.0, scale,
-    shape)`` call, bit for bit the scaled ``standard_normal`` fill (see
-    ``sample_single``), at about 0.74 of its time for 16 normals and 0.96
-    for 512; from 2**10 normals up, where the fused draw measured 1-5%
-    slower, it is ``standard_normal`` and an in-place scale. Longer chains
-    draw and scale factor by factor, so they hold one factor's normals at
-    a time.
+    and the product is the same bit for bit. The array is one
+    ``Generator.normal(-0.0, scale, shape)`` call, bit for bit the scaled
+    ``standard_normal`` fill (see ``sample_single``). It is faster than
+    the two-call fill below 2**10 normals (0.74 of its time at 16) and a
+    few percent slower above (1.05 at 32768, timeit), which no workload's
+    end-to-end time shows (``BENCH_36.json``), so one call serves every
+    size. Longer chains draw and scale factor by factor, so they hold one
+    factor's normals at a time.
     """
     inner, p, q = spec.inner, spec.p, spec.q
     if len(inner) == 1:
         d1 = inner[0]
-        if (p + q) * d1 < _FUSED_NORMALS:
-            x = rng.normal(-0.0, 1.0 / math.sqrt(d1), (p + q, d1))
-        else:
-            x = rng.standard_normal((p + q, d1))
-            x *= 1.0 / math.sqrt(d1)
+        x = rng.normal(-0.0, 1.0 / math.sqrt(d1), (p + q, d1))
         return np.dot(x[:p], x[p:].reshape(d1, q))
     d1, r = spec.d1, spec.r  # d1 refuses a chain with no inner dimension
     dims = (p, *inner, q)
