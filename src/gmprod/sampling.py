@@ -179,9 +179,11 @@ def sample_product(spec: ChainSpec, rng: np.random.Generator) -> np.ndarray:
     ``Generator.normal(-0.0, scale, shape)`` call, bit for bit the scaled
     ``standard_normal`` fill (see ``sample_single``). It is faster than
     the two-call fill below 2**10 normals (0.74 of its time at 16) and a
-    few percent slower above (1.05 at 32768, timeit), which no workload's
-    end-to-end time shows (``BENCH_36.json``), so one call serves every
-    size. Longer chains draw and scale factor by factor, so they hold one
+    few percent slower above (1.05 at 32768, timeit). One call serves
+    every size: the large fills cost the benchmark's
+    ``distinguish-large-d`` and ``sweep-phase`` about 4% of their ops/s,
+    inside its 15% bound (``BENCH_36.json``).
+    Longer chains draw and scale factor by factor, so they hold one
     factor's normals at a time.
     """
     inner, p, q = spec.inner, spec.p, spec.q
